@@ -49,7 +49,7 @@ fn bench_vec_kernels(c: &mut Criterion) {
     });
     c.bench_function("tanh_128", |b| {
         b.iter(|| {
-            etsb_tensor::tanh_inplace(black_box(&mut x));
+            etsb_tensor::simd::tanh_exact(black_box(&mut x));
         })
     });
 }

@@ -36,6 +36,9 @@
 //!   intrinsics and `#[target_feature]` only inside the
 //!   `crates/tensor/src/simd/` kernel set; fused-multiply-add rounding
 //!   must never leak into the exact bitwise paths.
+//! * **`libm-tanh`** — no `.tanh(` in the non-test code of library
+//!   crates outside `crates/tensor/src/simd/`: exact paths call the
+//!   in-repo `tanh_exact`, so their bits never depend on the host libm.
 //! * **`into-no-alloc`** — `_into` kernel bodies must not allocate
 //!   (static twin of the counting-allocator regression test).
 //! * **`into-shape-assert`** — public `_into` kernels must open with a
@@ -164,6 +167,8 @@ pub enum Rule {
     /// Fast-math primitive (`mul_add`, arch intrinsics,
     /// `#[target_feature]`) outside `crates/tensor/src/simd/`.
     FastMathConfinement,
+    /// Host-libm `tanh` call in non-test library code.
+    LibmTanh,
     /// Allocation inside an `_into` kernel body.
     IntoNoAlloc,
     /// Public `_into` kernel without an opening shape assertion.
@@ -187,6 +192,7 @@ impl Rule {
             Rule::HashIterOrder => "hash-iter-order",
             Rule::FloatReduceOrder => "float-reduce-order",
             Rule::FastMathConfinement => "fast-math-confinement",
+            Rule::LibmTanh => "libm-tanh",
             Rule::IntoNoAlloc => "into-no-alloc",
             Rule::IntoShapeAssert => "into-shape-assert",
             Rule::UnsafeSafetyComment => "unsafe-safety-comment",
@@ -200,7 +206,7 @@ impl Rule {
     }
 
     /// All rules, in report order.
-    pub fn all() -> [Rule; 12] {
+    pub fn all() -> [Rule; 13] {
         [
             Rule::NoUnwrap,
             Rule::NoUnseededRng,
@@ -210,6 +216,7 @@ impl Rule {
             Rule::HashIterOrder,
             Rule::FloatReduceOrder,
             Rule::FastMathConfinement,
+            Rule::LibmTanh,
             Rule::IntoNoAlloc,
             Rule::IntoShapeAssert,
             Rule::UnsafeSafetyComment,
@@ -224,6 +231,7 @@ impl Rule {
             | Rule::HashIterOrder
             | Rule::FloatReduceOrder
             | Rule::FastMathConfinement
+            | Rule::LibmTanh
             | Rule::NoWholeFileRead => Severity::Critical,
             Rule::NoUnwrap
             | Rule::ShapeAssert
@@ -326,20 +334,39 @@ impl Rule {
             Rule::FastMathConfinement => {
                 "fast-math-confinement (critical)\n\
                  Contract: fused multiply-add rounds once where mul-then-add\n\
-                 rounds twice, so any mul_add, std::arch/core::arch intrinsic\n\
-                 or #[target_feature] override outside the opt-in kernel set in\n\
-                 crates/tensor/src/simd/ silently changes bits on the exact\n\
-                 path. The FastMath kernels are reachable only through an\n\
-                 explicit KernelPolicy::FastMath, and their numerics are\n\
-                 guarded by the epsilon-equivalence suite — nowhere else may\n\
-                 spell these primitives.\n\
-                 Twin runtime check: the fast-math equivalence suite in\n\
-                 etsb-core and the portable-vs-AVX2 bitwise identity tests in\n\
-                 etsb-tensor.\n\
+                 rounds twice, and a #[target_feature] or std::arch/core::arch\n\
+                 intrinsic decides which instructions compute a result, so all\n\
+                 of them live in crates/tensor/src/simd/ and nowhere else. That\n\
+                 directory holds both tiers: the opt-in FastMath kernels\n\
+                 (reachable only through KernelPolicy::FastMath, guarded by the\n\
+                 epsilon-equivalence suite) and the Exact tier's AVX2 shims,\n\
+                 which compile the one exact body with wider registers and\n\
+                 must not change a bit. Anywhere else these primitives\n\
+                 silently change bits on the exact path.\n\
+                 Twin runtime check: for FastMath, the fast-math equivalence\n\
+                 suite in etsb-core and the portable-vs-AVX2 identity tests in\n\
+                 etsb-tensor; for the Exact tier, the portable-vs-AVX2 bitwise\n\
+                 test of every dispatched exact kernel\n\
+                 (etsb-tensor/tests/exact_dispatch.rs).\n\
                  Fix: move the kernel into crates/tensor/src/simd/ behind the\n\
-                 KernelPolicy dispatch, or use plain mul-then-add arithmetic.\n\
+                 backend dispatch, or use plain mul-then-add arithmetic.\n\
                  Allow when: the value never reaches a result (e.g. a test's\n\
                  reference tolerance computation) and the comment says so."
+            }
+            Rule::LibmTanh => {
+                "libm-tanh (critical)\n\
+                 Contract: Exact outputs are a property of the repo, not of\n\
+                 the host. f32::tanh calls the platform libm, whose tanhf\n\
+                 differs between glibc, musl and macOS, so every exact path\n\
+                 calls etsb_tensor::simd::tanh_exact, the in-repo port of\n\
+                 fdlibm's tanhf (bitwise equal to glibc's on every input).\n\
+                 Twin runtime check: the golden tanh hash and the AVX2-lanes-\n\
+                 vs-scalar-port tests in etsb-tensor/tests/exact_dispatch.rs,\n\
+                 and the golden exact-training hash in tests/determinism.rs.\n\
+                 Fix: call tanh_exact on the slice (or Activation::apply_inplace).\n\
+                 Allow when: the value never reaches a result and the comment\n\
+                 says so. Test code may compare against f32::tanh freely, and\n\
+                 crates/tensor/src/simd/ hosts the port itself."
             }
             Rule::IntoNoAlloc => {
                 "into-no-alloc (high)\n\
@@ -493,6 +520,9 @@ pub fn scan_source(rel: &str, source: &str) -> Vec<Finding> {
     if ctx.check_fast_math {
         rules::check_fast_math_confinement(rel, source, &stripped, &allows, &mut findings);
     }
+    if ctx.check_libm_tanh {
+        rules::check_libm_tanh(rel, source, &stripped, &test_lines, &allows, &mut findings);
+    }
     if ctx.check_into {
         rules::check_into_no_alloc(rel, source, &stripped, &test_lines, &allows, &mut findings);
         rules::check_into_shape_assert(rel, source, &stripped, &test_lines, &allows, &mut findings);
@@ -523,6 +553,7 @@ struct FileContext {
     check_hash: bool,
     check_float: bool,
     check_fast_math: bool,
+    check_libm_tanh: bool,
     check_into: bool,
     check_unsafe: bool,
     check_whole_read: bool,
@@ -558,6 +589,9 @@ impl FileContext {
             check_fast_math: broad_scope
                 && rel.ends_with(".rs")
                 && !rel.starts_with(SIMD_BLESSED_PREFIX),
+            // Library code only: tests compare against the libm, and the
+            // SIMD directory hosts the in-repo port.
+            check_libm_tanh: lib_src && !rel.starts_with(SIMD_BLESSED_PREFIX),
             check_into: INTO_CHECKED_CRATES.iter().any(|c| in_crate_src(c)),
             check_unsafe: broad_scope && rel.ends_with(".rs"),
             // Whole-file reads are confined wherever the data path runs:

@@ -846,6 +846,38 @@ pub fn check_fast_math_confinement(
 }
 
 // ---------------------------------------------------------------------
+// libm-tanh
+// ---------------------------------------------------------------------
+
+/// Rule `libm-tanh`: a `.tanh(` method call in non-test library code
+/// reaches the host libm, whose `tanhf` bits differ between platforms.
+/// Exact paths call `etsb_tensor::simd::tanh_exact` instead (the path
+/// gate exempting `crates/tensor/src/simd/`, where the port lives, is in
+/// `FileContext`).
+pub fn check_libm_tanh(
+    rel: &str,
+    source: &str,
+    stripped: &str,
+    test_lines: &[bool],
+    allows: &[HashSet<Rule>],
+    findings: &mut Vec<Finding>,
+) {
+    for (i, line) in stripped.lines().enumerate() {
+        if test_lines.get(i).copied().unwrap_or(false) || allowed(allows, i, Rule::LibmTanh) {
+            continue;
+        }
+        for _ in 0..count_token(line, ".tanh(") {
+            findings.push(Finding {
+                rule: Rule::LibmTanh,
+                file: rel.to_string(),
+                line: i + 1,
+                snippet: raw_line(source, i),
+            });
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // into-no-alloc / into-shape-assert
 // ---------------------------------------------------------------------
 

@@ -223,6 +223,39 @@ fn fast_math_fixture_reports_each_escaped_primitive() {
 }
 
 #[test]
+fn libm_tanh_fixture_reports_library_calls_only() {
+    let findings = scan(
+        include_str!("../fixtures/libm_tanh_violation.rs"),
+        "crates/nn/src/fixture.rs",
+    );
+    let hits: Vec<_> = findings
+        .iter()
+        .filter(|f| f.rule == Rule::LibmTanh)
+        .collect();
+    // `x.tanh()` and `(z + b).tanh()`; the port, the annotated site and
+    // the test-module comparison stay silent.
+    assert_eq!(hits.len(), 2, "findings: {findings:?}");
+    assert!(hits.iter().all(|f| f.snippet.contains(".tanh()")));
+    assert_eq!(
+        findings.len(),
+        hits.len(),
+        "other rules fired: {findings:?}"
+    );
+    // The SIMD directory hosts the port, and non-library crates (the
+    // CLI, the bench harness) are out of scope.
+    for rel in [
+        "crates/tensor/src/simd/fixture.rs",
+        "crates/cli/src/fixture.rs",
+    ] {
+        let findings = scan(include_str!("../fixtures/libm_tanh_violation.rs"), rel);
+        assert!(
+            findings.iter().all(|f| f.rule != Rule::LibmTanh),
+            "libm-tanh fired in {rel}: {findings:?}"
+        );
+    }
+}
+
+#[test]
 fn into_fixture_reports_alloc_and_missing_assert() {
     let findings = scan(
         include_str!("../fixtures/into_violation.rs"),
@@ -367,6 +400,10 @@ fn violation_fixtures_fail_check_tree_against_an_empty_baseline() {
         (
             include_str!("../fixtures/fast_math_violation.rs"),
             "crates/cli/src/f.rs",
+        ),
+        (
+            include_str!("../fixtures/libm_tanh_violation.rs"),
+            "crates/nn/src/f.rs",
         ),
         (
             include_str!("../fixtures/into_violation.rs"),

@@ -14,13 +14,27 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Apply the activation to a single value.
+    /// Apply the activation to a single value (bitwise equal to
+    /// [`Activation::apply_inplace`] on that value).
     #[inline]
     pub fn apply(self, x: f32) -> f32 {
+        let mut y = [x];
+        self.apply_inplace(&mut y);
+        y[0]
+    }
+
+    /// Apply the activation to every element of `xs` in place; `Tanh`
+    /// runs the exact-tier [`etsb_tensor::simd::tanh_exact`].
+    #[inline]
+    pub fn apply_inplace(self, xs: &mut [f32]) {
         match self {
-            Activation::Linear => x,
-            Activation::Tanh => x.tanh(),
-            Activation::Relu => x.max(0.0),
+            Activation::Linear => {}
+            Activation::Tanh => etsb_tensor::simd::tanh_exact(xs),
+            Activation::Relu => {
+                for x in xs {
+                    *x = x.max(0.0);
+                }
+            }
         }
     }
 

@@ -66,8 +66,9 @@ impl Dense {
         for r in 0..out.rows() {
             let row = out.row_mut(r);
             for (o, &bi) in row.iter_mut().zip(bias) {
-                *o = self.activation.apply(*o + bi);
+                *o += bi;
             }
+            self.activation.apply_inplace(row);
         }
         out.assert_finite("dense", "forward(activation)");
         (
@@ -95,8 +96,9 @@ impl Dense {
         for r in 0..out.rows() {
             let row = out.row_mut(r);
             for (o, &bi) in row.iter_mut().zip(bias) {
-                *o = self.activation.apply(*o + bi);
+                *o += bi;
             }
+            self.activation.apply_inplace(row);
         }
         out.assert_finite("dense", "forward(activation)");
     }

@@ -14,6 +14,7 @@
 use crate::batch::{accumulate_seq_grads, SeqBatch};
 use crate::rnn::{split_cell_grads, Recurrence};
 use crate::Param;
+use etsb_tensor::simd::tanh_exact;
 use etsb_tensor::{init, KernelPolicy, Matrix, Workspace};
 use rand::rngs::StdRng;
 
@@ -103,9 +104,9 @@ impl Recurrence for GruCell {
                 hn_row[j] = zh[2 * h + j];
             }
             for j in 0..h {
-                let n = (zx[2 * h + j] + g_row[h + j] * hn_row[j] + b[2 * h + j]).tanh();
-                g_row[2 * h + j] = n;
+                g_row[2 * h + j] = zx[2 * h + j] + g_row[h + j] * hn_row[j] + b[2 * h + j];
             }
+            tanh_exact(&mut g_row[2 * h..3 * h]);
             let h_row = hidden.row_mut(t);
             for j in 0..h {
                 let z = g_row[j];
@@ -211,9 +212,9 @@ impl Recurrence for GruCell {
                 hn_row[j] = zh[2 * h + j];
             }
             for j in 0..h {
-                let n = (zx[2 * h + j] + g_row[h + j] * hn_row[j] + b[2 * h + j]).tanh();
-                g_row[2 * h + j] = n;
+                g_row[2 * h + j] = zx[2 * h + j] + g_row[h + j] * hn_row[j] + b[2 * h + j];
             }
+            tanh_exact(&mut g_row[2 * h..3 * h]);
             let h_row = cache.hidden.row_mut(t);
             let g_row = cache.gates.row(t);
             for j in 0..h {
@@ -362,9 +363,9 @@ impl Recurrence for GruCell {
                     hn_row[j] = zh[2 * h + j];
                 }
                 for j in 0..h {
-                    let n = (zx[2 * h + j] + g_row[h + j] * hn_row[j] + b[2 * h + j]).tanh();
-                    g_row[2 * h + j] = n;
+                    g_row[2 * h + j] = zx[2 * h + j] + g_row[h + j] * hn_row[j] + b[2 * h + j];
                 }
+                tanh_exact(&mut g_row[2 * h..3 * h]);
                 let h_row = cache.hidden.row_mut(off + s);
                 let g_row = cache.gates.row(off + s);
                 for j in 0..h {

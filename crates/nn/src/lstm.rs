@@ -11,6 +11,7 @@
 use crate::batch::{accumulate_seq_grads, SeqBatch};
 use crate::rnn::{split_cell_grads, Recurrence};
 use crate::Param;
+use etsb_tensor::simd::tanh_exact;
 use etsb_tensor::{init, KernelPolicy, Matrix, Workspace};
 use rand::rngs::StdRng;
 
@@ -105,17 +106,19 @@ impl Recurrence for LstmCell {
             for j in 0..h {
                 g_row[j] = sigmoid(z[j]); // i
                 g_row[h + j] = sigmoid(z[h + j]); // f
-                g_row[2 * h + j] = z[2 * h + j].tanh(); // g
+                g_row[2 * h + j] = z[2 * h + j]; // g, tanh below
                 g_row[3 * h + j] = sigmoid(z[3 * h + j]); // o
             }
+            tanh_exact(&mut g_row[2 * h..3 * h]);
             let c_row = cells.row_mut(t);
             for j in 0..h {
                 c_row[j] = g_row[h + j] * c_prev[j] + g_row[j] * g_row[2 * h + j];
             }
             let tc_row = tanh_cells.row_mut(t);
+            tc_row.copy_from_slice(c_row);
+            tanh_exact(tc_row);
             let h_row = hidden.row_mut(t);
             for j in 0..h {
-                tc_row[j] = c_row[j].tanh();
                 h_row[j] = g_row[3 * h + j] * tc_row[j];
             }
             h_prev.copy_from_slice(h_row);
@@ -211,9 +214,10 @@ impl Recurrence for LstmCell {
             for j in 0..h {
                 g_row[j] = sigmoid(z[j]); // i
                 g_row[h + j] = sigmoid(z[h + j]); // f
-                g_row[2 * h + j] = z[2 * h + j].tanh(); // g
+                g_row[2 * h + j] = z[2 * h + j]; // g, tanh below
                 g_row[3 * h + j] = sigmoid(z[3 * h + j]); // o
             }
+            tanh_exact(&mut g_row[2 * h..3 * h]);
             let c_row = cache.cells.row_mut(t);
             let g_row = cache.gates.row(t);
             for j in 0..h {
@@ -221,9 +225,8 @@ impl Recurrence for LstmCell {
             }
             let c_row = cache.cells.row(t);
             let tc_row = cache.tanh_cells.row_mut(t);
-            for j in 0..h {
-                tc_row[j] = c_row[j].tanh();
-            }
+            tc_row.copy_from_slice(c_row);
+            tanh_exact(tc_row);
             let tc_row = cache.tanh_cells.row(t);
             let h_row = cache.hidden.row_mut(t);
             for j in 0..h {
@@ -362,9 +365,10 @@ impl Recurrence for LstmCell {
                 for j in 0..h {
                     g_row[j] = sigmoid(z[j]); // i
                     g_row[h + j] = sigmoid(z[h + j]); // f
-                    g_row[2 * h + j] = z[2 * h + j].tanh(); // g
+                    g_row[2 * h + j] = z[2 * h + j]; // g, tanh below
                     g_row[3 * h + j] = sigmoid(z[3 * h + j]); // o
                 }
+                tanh_exact(&mut g_row[2 * h..3 * h]);
                 let c_row = cache.cells.row_mut(off + s);
                 let g_row = cache.gates.row(off + s);
                 let cp = c_prev.row(s);
@@ -373,9 +377,8 @@ impl Recurrence for LstmCell {
                 }
                 let c_row = cache.cells.row(off + s);
                 let tc_row = cache.tanh_cells.row_mut(off + s);
-                for j in 0..h {
-                    tc_row[j] = c_row[j].tanh();
-                }
+                tc_row.copy_from_slice(c_row);
+                tanh_exact(tc_row);
                 let tc_row = cache.tanh_cells.row(off + s);
                 let h_row = cache.hidden.row_mut(off + s);
                 for j in 0..h {

@@ -17,6 +17,7 @@
 
 use crate::batch::{accumulate_seq_grads, SeqBatch};
 use crate::Param;
+use etsb_tensor::simd::tanh_exact;
 use etsb_tensor::{init, KernelPolicy, Matrix, Workspace};
 use rand::rngs::StdRng;
 
@@ -199,8 +200,9 @@ impl RnnCell {
             let mut z = self.wx.value.vecmat(inputs.row(t));
             let rec = self.wh.value.vecmat(&prev);
             for ((zi, &ri), &bi) in z.iter_mut().zip(&rec).zip(self.b.value.row(0)) {
-                *zi = (*zi + ri + bi).tanh();
+                *zi = *zi + ri + bi;
             }
+            tanh_exact(&mut z);
             hidden.row_mut(t).copy_from_slice(&z);
             prev = z;
         }
@@ -234,8 +236,9 @@ impl RnnCell {
             self.wh.value.vecmat_into(&prev, &mut rec);
             let h_row = cache.hidden.row_mut(t);
             for (((hj, &zj), &rj), &bj) in h_row.iter_mut().zip(z_all.row(t)).zip(&rec).zip(b) {
-                *hj = (zj + rj + bj).tanh();
+                *hj = zj + rj + bj;
             }
+            tanh_exact(h_row);
             prev.copy_from_slice(h_row);
         }
         ws.put_vec("rnn.prev", prev);
@@ -350,29 +353,21 @@ impl RnnCell {
             let off = batch.offset(t);
             for s in 0..n_act {
                 let h_row = cache.hidden.row_mut(off + s);
-                match policy {
-                    KernelPolicy::Exact => {
-                        for (((hj, &zj), &rj), &bj) in h_row
-                            .iter_mut()
-                            .zip(z_all.row(off + s))
-                            .zip(rec.row(s))
-                            .zip(b)
-                        {
-                            *hj = (zj + rj + bj).tanh();
-                        }
-                    }
-                    KernelPolicy::FastMath => {
-                        for (((hj, &zj), &rj), &bj) in h_row
-                            .iter_mut()
-                            .zip(z_all.row(off + s))
-                            .zip(rec.row(s))
-                            .zip(b)
-                        {
-                            *hj = zj + rj + bj;
-                        }
-                        etsb_tensor::simd::tanh_fast(h_row);
-                    }
+                for (((hj, &zj), &rj), &bj) in h_row
+                    .iter_mut()
+                    .zip(z_all.row(off + s))
+                    .zip(rec.row(s))
+                    .zip(b)
+                {
+                    *hj = zj + rj + bj;
                 }
+            }
+            // Step t's active rows are contiguous: one elementwise tanh
+            // over the whole block.
+            let block = &mut cache.hidden.as_mut_slice()[off * h..(off + n_act) * h];
+            match policy {
+                KernelPolicy::Exact => tanh_exact(block),
+                KernelPolicy::FastMath => etsb_tensor::simd::tanh_fast(block),
             }
         }
         ws.put_mat("rnn.brec", rec);

@@ -84,6 +84,36 @@ fn write_response(
     stream.flush()
 }
 
+/// The body length a request head declares: its `Content-Length`, or 0
+/// without one. A value that is not a plain decimal number, or repeated
+/// `Content-Length` headers that disagree, leave the body's framing
+/// ambiguous; the request is then refused before any body byte is read.
+fn declared_content_length<'a>(
+    headers: impl IntoIterator<Item = &'a str>,
+) -> Result<usize, &'static str> {
+    let mut declared = None;
+    for header in headers {
+        let Some((name, value)) = header.split_once(':') else {
+            continue;
+        };
+        if !name.eq_ignore_ascii_case("content-length") {
+            continue;
+        }
+        let value = value.trim();
+        let length = value
+            .bytes()
+            .all(|b| b.is_ascii_digit())
+            .then(|| value.parse::<usize>().ok())
+            .flatten()
+            .ok_or("malformed Content-Length")?;
+        if declared.is_some_and(|d| d != length) {
+            return Err("conflicting Content-Length headers");
+        }
+        declared = Some(length);
+    }
+    Ok(declared.unwrap_or(0))
+}
+
 fn handle_connection(service: &DetectService, stream: TcpStream) -> std::io::Result<()> {
     // The accepted socket may inherit the listener's non-blocking mode.
     stream.set_nonblocking(false)?;
@@ -99,7 +129,7 @@ fn handle_connection(service: &DetectService, stream: TcpStream) -> std::io::Res
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("");
 
-    let mut content_length = 0usize;
+    let mut headers = Vec::new();
     loop {
         let mut header = String::new();
         if reader.read_line(&mut header)? == 0 {
@@ -109,12 +139,15 @@ fn handle_connection(service: &DetectService, stream: TcpStream) -> std::io::Res
         if header.is_empty() {
             break;
         }
-        if let Some((name, value)) = header.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().unwrap_or(0);
-            }
-        }
+        headers.push(header.to_string());
     }
+    let content_length = match declared_content_length(headers.iter().map(String::as_str)) {
+        Ok(length) => length,
+        Err(e) => {
+            let body = format!("{{\"error\":\"{e}\"}}");
+            return write_response(&mut stream, 400, "Bad Request", JSON_CONTENT_TYPE, &body);
+        }
+    };
 
     match (method, path) {
         ("GET", "/healthz") => write_response(
@@ -164,5 +197,47 @@ fn handle_connection(service: &DetectService, stream: TcpStream) -> std::io::Res
             JSON_CONTENT_TYPE,
             "{\"error\":\"not found\"}",
         ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::declared_content_length;
+
+    #[test]
+    fn content_length_defaults_to_zero_and_parses_digits() {
+        assert_eq!(declared_content_length([]), Ok(0));
+        assert_eq!(declared_content_length(["Host: x"]), Ok(0));
+        assert_eq!(declared_content_length(["Content-Length: 42"]), Ok(42));
+        assert_eq!(declared_content_length(["content-LENGTH:7 "]), Ok(7));
+        assert_eq!(
+            declared_content_length(["Content-Length: 5", "content-length: 5"]),
+            Ok(5),
+            "repeated headers that agree are fine"
+        );
+    }
+
+    #[test]
+    fn malformed_content_length_is_an_error() {
+        for bad in ["", "abc", "-1", "+5", "1.5", "4 2", "0x10", "5, 5"] {
+            assert_eq!(
+                declared_content_length([format!("Content-Length: {bad}").as_str()]),
+                Err("malformed Content-Length"),
+                "{bad:?}"
+            );
+        }
+        let too_big = format!("Content-Length: {}0", usize::MAX);
+        assert_eq!(
+            declared_content_length([too_big.as_str()]),
+            Err("malformed Content-Length")
+        );
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_an_error() {
+        assert_eq!(
+            declared_content_length(["Content-Length: 5", "Host: x", "Content-Length: 6"]),
+            Err("conflicting Content-Length headers")
+        );
     }
 }

@@ -376,6 +376,26 @@ fn http_front_end_round_trips() {
         );
         assert!(bad.starts_with("HTTP/1.1 400"), "{bad}");
 
+        // Malformed or conflicting framing is refused before the body is
+        // read, with an error that names the header.
+        let malformed = fetch(format!(
+            "POST /detect HTTP/1.1\r\nHost: x\r\nContent-Length: 1O\r\n\r\n{body}"
+        ));
+        assert!(malformed.starts_with("HTTP/1.1 400"), "{malformed}");
+        assert!(
+            malformed.contains("{\"error\":\"malformed Content-Length\"}"),
+            "{malformed}"
+        );
+        let conflicting = fetch(format!(
+            "POST /detect HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\nContent-Length: 3\r\n\r\n{body}",
+            body.len()
+        ));
+        assert!(conflicting.starts_with("HTTP/1.1 400"), "{conflicting}");
+        assert!(
+            conflicting.contains("{\"error\":\"conflicting Content-Length headers\"}"),
+            "{conflicting}"
+        );
+
         let metrics = fetch("GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n".to_string());
         assert!(metrics.starts_with("HTTP/1.1 200"), "{metrics}");
         assert!(

@@ -7,14 +7,16 @@
 //! arithmetic, reductions, seeded random initialization and a compact
 //! binary serialization used for weight checkpoints.
 //!
-//! The reference kernels stay scalar (no BLAS) so they build anywhere and
-//! pin the bitwise-determinism contract; the matmul kernels are written
-//! cache-consciously (ikj loop order, transpose-free variants) which is
-//! enough to train the paper's models in seconds on a laptop core. An
-//! opt-in fast inference tier lives in [`simd`]: fused multiply-add
-//! kernels (portable scalar or runtime-detected AVX2+FMA) selected
-//! through a [`KernelPolicy`], epsilon-close to the exact path and
-//! bitwise identical across backends.
+//! The reference kernels are plain Rust (no BLAS) so they build anywhere
+//! and pin the bitwise-determinism contract; the matmul kernels are
+//! written cache-consciously (ikj loop order, transpose-free variants)
+//! and, on AVX2 hosts, recompiled for 8-lane registers by [`simd`]'s
+//! runtime dispatch without changing a bit. [`simd`] also holds the
+//! exact tanh (an in-repo port of fdlibm's `tanhf`) and an opt-in fast
+//! inference tier: fused multiply-add kernels (portable scalar or
+//! runtime-detected AVX2+FMA) selected through a [`KernelPolicy`],
+//! epsilon-close to the exact path and bitwise identical across
+//! backends.
 //!
 //! ```
 //! use etsb_tensor::Matrix;
@@ -35,14 +37,15 @@ mod workspace;
 pub mod init;
 /// NaN/Inf detection hooks, active under the `sanitize` feature.
 pub mod sanitize;
-/// Opt-in FastMath inference kernels with runtime backend dispatch.
+/// Runtime backend dispatch for both kernel tiers, the exact tanh, and
+/// the opt-in FastMath inference kernels.
 pub mod simd;
 
 pub use grad::GradBuffer;
 pub use matrix::Matrix;
 pub use ops::{
     add_assign, argmax, axpy, dot, l2_norm, max_abs_diff, mean, relu_inplace, scale,
-    softmax_inplace, stddev, sub_assign, tanh_inplace, variance,
+    softmax_inplace, stddev, sub_assign, variance,
 };
 pub use serialize::{decode_matrix, encode_matrix, DecodeError};
 pub use simd::KernelPolicy;

@@ -1,5 +1,6 @@
 //! Row-major dense `f32` matrix.
 
+use crate::simd::{self, active_backend};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -228,7 +229,7 @@ impl Matrix {
     /// what guarantees `a.matmul(&w).row(t)` stays bitwise identical to
     /// `w.vecmat(a.row(t))` — the batched and per-step sequence paths in
     /// `etsb-nn` must never diverge.
-    #[inline]
+    #[inline(always)]
     fn accumulate_rows(&self, v: &[f32], out: &mut [f32]) {
         assert_eq!(
             v.len(),
@@ -244,7 +245,7 @@ impl Matrix {
     /// `start`: `out[j] += Σ_k v[k] * self[start + k][j]`. Same ascending-k
     /// add order and zero-skip; the window form lets gradient kernels
     /// align shifted time ranges (e.g. `h_{t-1}` against `dz_t`).
-    #[inline]
+    #[inline(always)]
     fn accumulate_rows_from(&self, start: usize, v: &[f32], out: &mut [f32]) {
         assert!(
             start + v.len() <= self.rows && out.len() == self.cols,
@@ -277,7 +278,7 @@ impl Matrix {
     /// `k`. Factored out so the four-row batched sweep below can fall
     /// back to exactly this code path row by row, keeping every batched
     /// output row bitwise identical to its single-row sweep.
-    #[inline]
+    #[inline(always)]
     // etsb: allow(shape-assert) -- shared kernel; the callers' window asserts name their op.
     fn apply_chunk8(ch: &[f32], rows: &[f32], cols: usize, out: &mut [f32]) {
         let (r0, rest) = rows.split_at(cols);
@@ -337,6 +338,7 @@ impl Matrix {
     /// per block. The per-element add order is ascending k, the same
     /// sequence the chunked and single-row sweeps produce when no
     /// coefficient is zero.
+    #[inline(always)]
     fn fused_rows4_from(&self, start: usize, vs: [&[f32]; 4], outs: [&mut [f32]; 4]) {
         const JB: usize = 16;
         let cols = self.cols;
@@ -397,6 +399,7 @@ impl Matrix {
     /// fallback, so each row is bitwise identical to its own single-row
     /// sweep — the invariant the batched sequence kernels in `etsb-nn`
     /// are built on.
+    #[inline(always)]
     fn accumulate_rows4_from(&self, start: usize, vs: [&[f32]; 4], outs: [&mut [f32]; 4]) {
         let len = vs[0].len();
         assert!(
@@ -500,19 +503,18 @@ impl Matrix {
         }
     }
 
-    /// `self @ other` — standard matrix product; each output row is one
-    /// `accumulate_rows` sweep, so the inner loop streams both `other`'s
-    /// and the output's rows.
+    /// `self @ other` — standard matrix product, computed as the
+    /// all-rows [`Matrix::matmul_window_into`] window: each output row is
+    /// bitwise identical to its `accumulate_rows` sweep (and so to
+    /// `other.vecmat(self.row(i))`).
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.rows,
             "matmul: {}x{} @ {}x{} shape mismatch",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            other.accumulate_rows(self.row(i), out.row_mut(i));
-        }
+        let mut out = Matrix::default();
+        simd::matmul_window_exact_with(active_backend(), self, 0, self.rows, other, &mut out);
         crate::sanitize::assert_finite("tensor", "matmul", &out.data);
         out
     }
@@ -525,10 +527,7 @@ impl Matrix {
             "matmul_into: {}x{} @ {}x{} shape mismatch",
             self.rows, self.cols, other.rows, other.cols
         );
-        out.resize_zeroed(self.rows, other.cols);
-        for i in 0..self.rows {
-            other.accumulate_rows(self.row(i), out.row_mut(i));
-        }
+        simd::matmul_window_exact_with(active_backend(), self, 0, self.rows, other, out);
         crate::sanitize::assert_finite("tensor", "matmul_into", &out.data);
     }
 
@@ -540,6 +539,11 @@ impl Matrix {
     /// four-row matmul intensity. The window form is what the batched
     /// sequence kernels use to multiply only the still-active prefix of
     /// a packed timestep block.
+    ///
+    /// Runs on [`active_backend`]: under `Backend::Avx2` the same body is
+    /// compiled with AVX2 enabled, which widens the independent
+    /// per-column chains without changing any element's operation order
+    /// (see `simd`).
     pub fn matmul_window_into(
         &self,
         row_start: usize,
@@ -557,7 +561,23 @@ impl Matrix {
             "matmul_window_into: window {row_start}+{count} out of {} rows",
             self.rows
         );
-        out.resize_zeroed(count, other.cols);
+        simd::matmul_window_exact_with(active_backend(), self, row_start, count, other, out);
+        crate::sanitize::assert_finite("tensor", "matmul_window_into", &out.data);
+    }
+
+    /// Body of the exact window product, shared by every backend:
+    /// `out` (already `count x other.cols`, zeroed) `+= self[row_start ..
+    /// row_start+count] @ other`. `#[inline(always)]` so the AVX2 shim
+    /// compiles this very code with its target features.
+    #[inline(always)]
+    // etsb: allow(shape-assert) -- body behind `matmul_window_into`'s asserts; row and window accesses stay bounds-checked.
+    pub(crate) fn matmul_window_kernel(
+        &self,
+        row_start: usize,
+        count: usize,
+        other: &Matrix,
+        out: &mut Matrix,
+    ) {
         let oc = other.cols;
         let mut i = 0;
         while i + 4 <= count {
@@ -580,13 +600,12 @@ impl Matrix {
         for r in i..count {
             other.accumulate_rows(self.row(row_start + r), out.row_mut(r));
         }
-        crate::sanitize::assert_finite("tensor", "matmul_window_into", &out.data);
     }
 
     /// One output row of `a @ self.T`: `out_row[j] = dot(a_row, self.row(j))`,
     /// four `self` rows per pass via [`crate::ops::dot4`] (each element
     /// bitwise equal to its single `dot`).
-    #[inline]
+    #[inline(always)]
     fn transposed_row_dots(&self, a_row: &[f32], out_row: &mut [f32]) {
         assert!(
             a_row.len() == self.cols && out_row.len() == self.rows,
@@ -620,12 +639,8 @@ impl Matrix {
             "matmul_transposed: {}x{} @ ({}x{})^T shape mismatch",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
-            let out_row = &mut out.data[i * other.rows..(i + 1) * other.rows];
-            other.transposed_row_dots(a_row, out_row);
-        }
+        let mut out = Matrix::default();
+        simd::matmul_transposed_exact_with(active_backend(), self, other, &mut out);
         crate::sanitize::assert_finite("tensor", "matmul_transposed", &out.data);
         out
     }
@@ -640,13 +655,21 @@ impl Matrix {
             "matmul_transposed_into: {}x{} @ ({}x{})^T shape mismatch",
             self.rows, self.cols, other.rows, other.cols
         );
-        out.resize_zeroed(self.rows, other.rows);
+        simd::matmul_transposed_exact_with(active_backend(), self, other, out);
+        crate::sanitize::assert_finite("tensor", "matmul_transposed_into", &out.data);
+    }
+
+    /// Body of the exact `self @ other.T`, shared by every backend:
+    /// `out` is already `self.rows x other.rows`; each element is one
+    /// [`crate::ops::dot`]. `#[inline(always)]` for the AVX2 shim.
+    #[inline(always)]
+    // etsb: allow(shape-assert) -- body behind the `matmul_transposed*` asserts; `transposed_row_dots` re-checks every row.
+    pub(crate) fn matmul_transposed_kernel(&self, other: &Matrix, out: &mut Matrix) {
         for i in 0..self.rows {
             let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
             let out_row = &mut out.data[i * other.rows..(i + 1) * other.rows];
             other.transposed_row_dots(a_row, out_row);
         }
-        crate::sanitize::assert_finite("tensor", "matmul_transposed_into", &out.data);
     }
 
     /// `self.T @ other` without materializing the transpose.
@@ -700,8 +723,14 @@ impl Matrix {
             self.cols,
             v.len()
         );
-        out.clear();
-        out.resize(self.rows, 0.0);
+        simd::matvec_exact_with(active_backend(), self, v, out);
+    }
+
+    /// Body of the exact `self @ v`, shared by every backend: `out` is
+    /// already `self.rows` long. `#[inline(always)]` for the AVX2 shim.
+    #[inline(always)]
+    // etsb: allow(shape-assert) -- body behind `matvec_into`'s assert; `dot4`/`dot` re-check every length.
+    pub(crate) fn matvec_kernel(&self, v: &[f32], out: &mut [f32]) {
         // Four rows per pass: `dot4` shares the sweep over `v` between four
         // output elements, each still bitwise equal to its single `dot`.
         let mut i = 0;
@@ -850,6 +879,31 @@ impl Matrix {
             a.rows,
             b.rows
         );
+        simd::add_transposed_matmul_blocked_exact_with(
+            active_backend(),
+            self,
+            a,
+            a_start,
+            b,
+            b_start,
+            count,
+            cols_scratch,
+        );
+    }
+
+    /// Body of [`Matrix::add_transposed_matmul_blocked`], shared by every
+    /// backend. `#[inline(always)]` for the AVX2 shim.
+    #[inline(always)]
+    // etsb: allow(shape-assert) -- body behind `add_transposed_matmul_blocked`'s asserts; every access stays bounds-checked.
+    pub(crate) fn add_transposed_matmul_blocked_kernel(
+        &mut self,
+        a: &Matrix,
+        a_start: usize,
+        b: &Matrix,
+        b_start: usize,
+        count: usize,
+        cols_scratch: &mut Matrix,
+    ) {
         cols_scratch.resize_zeroed(4, count);
         let sc = self.cols;
         let mut i = 0;

@@ -5,7 +5,7 @@
 ///
 /// # Panics
 /// If the slices have different lengths.
-#[inline]
+#[inline(always)]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(
         a.len(),
@@ -48,7 +48,7 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 ///
 /// # Panics
 /// If any slice length differs from `a`'s.
-#[inline]
+#[inline(always)]
 pub fn dot4(a: &[f32], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) -> [f32; 4] {
     assert!(
         b0.len() == a.len() && b1.len() == a.len() && b2.len() == a.len() && b3.len() == a.len(),
@@ -169,13 +169,6 @@ pub fn softmax_inplace(x: &mut [f32]) {
     // `sum >= 1` because one exponent is exp(0); no division-by-zero risk.
     for xi in x.iter_mut() {
         *xi /= sum;
-    }
-}
-
-/// In-place hyperbolic tangent.
-pub fn tanh_inplace(x: &mut [f32]) {
-    for xi in x {
-        *xi = xi.tanh();
     }
 }
 

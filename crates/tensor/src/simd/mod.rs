@@ -1,15 +1,26 @@
-//! Opt-in fast inference kernels: the `FastMath` tier of the kernel
-//! policy dispatch.
+//! Runtime CPU dispatch for both kernel tiers, and the opt-in
+//! `FastMath` tier itself.
 //!
 //! # The kernel-policy contract
 //!
 //! The exact kernels in `matrix.rs` / `ops.rs` pin a fixed ascending-k
 //! mul-then-add reduction order — the bitwise-determinism contract the
 //! whole training and reference-inference stack is built on. This module
-//! adds a second, *opt-in* tier for batched inference only:
+//! dispatches them per CPU without changing a bit, and adds a second,
+//! *opt-in* tier for batched inference only:
 //!
-//! * [`KernelPolicy::Exact`] (the default) routes every call to the
-//!   existing scalar kernels, byte-for-byte unchanged.
+//! * [`KernelPolicy::Exact`] (the default) keeps that operation order on
+//!   every backend. Each exact product body exists once, as an
+//!   `#[inline(always)]` method in `matrix.rs`; on `Backend::Avx2` a
+//!   one-line `#[target_feature(enable = "avx2")]` shim in `x86.rs`
+//!   compiles that same body with AVX2 enabled, so LLVM widens its
+//!   independent per-column chains to 8 lanes. Without fast-math flags
+//!   LLVM may neither reassociate a float add nor contract a
+//!   mul-then-add (and `fma` is not enabled), so the two backends agree
+//!   bit for bit. The exact tanh is [`tanh_exact`], an in-repo port of
+//!   fdlibm's `tanhf` (scalar on `Portable`, branch-free 8-lane on
+//!   `Avx2`), bitwise equal to glibc's `f32::tanh` — Exact bits are a
+//!   property of the repo, not of the host libm.
 //! * [`KernelPolicy::FastMath`] routes the hot products through fused
 //!   multiply-add kernels — a portable scalar [`f32::mul_add`] fallback
 //!   and an x86-64 AVX2+FMA implementation selected by runtime CPU
@@ -28,11 +39,12 @@
 //!
 //! | policy    | backend                      | kernel                            |
 //! |-----------|------------------------------|-----------------------------------|
-//! | Exact     | n/a                          | scalar mul-then-add, [`f32::tanh`] |
+//! | Exact     | [`Backend::Portable`]        | mul-then-add bodies (SSE2 baseline) + scalar fdlibm tanh |
+//! | Exact     | `Backend::Avx2` (detected)   | the same bodies compiled for AVX2 + 8-lane fdlibm tanh |
 //! | FastMath  | [`Backend::Portable`]        | scalar [`f32::mul_add`] products + rational tanh |
 //! | FastMath  | `Backend::Avx2` (detected)   | AVX2 `_mm256_fmadd_ps` products + 8-lane rational tanh |
 //!
-//! The backend is chosen once per process by
+//! One backend serves both tiers. It is chosen once per process by
 //! [`is_x86_feature_detected!`](std::arch::is_x86_feature_detected)
 //! (`avx2` *and* `fma`), overridable through the `ETSB_KERNELS`
 //! environment variable: `portable` forces the scalar fallback (how CI
@@ -74,12 +86,15 @@ impl KernelPolicy {
     }
 }
 
-/// The FastMath kernel implementation in use.
+/// The kernel implementation in use, for both policies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
-    /// Scalar [`f32::mul_add`] kernels; compiled everywhere.
+    /// Baseline-ISA kernels: scalar [`f32::mul_add`] FastMath chains and
+    /// the exact bodies as compiled for the build target; compiled
+    /// everywhere.
     Portable,
-    /// AVX2 + FMA intrinsics; selected when the CPU supports both.
+    /// AVX2 + FMA intrinsics (FastMath) and AVX2-compiled exact bodies;
+    /// selected when the CPU supports both features.
     #[cfg(target_arch = "x86_64")]
     Avx2,
 }
@@ -120,7 +135,7 @@ fn backend_for(env_override: Option<&str>) -> Backend {
     }
 }
 
-/// The FastMath backend for this process: detection plus the
+/// The kernel backend for this process (both tiers): detection plus the
 /// `ETSB_KERNELS` override, resolved once and cached.
 pub fn active_backend() -> Backend {
     static CACHE: OnceLock<Backend> = OnceLock::new();
@@ -264,6 +279,154 @@ impl Matrix {
     }
 }
 
+/// Exact window product on an explicit backend: `out` reshaped to
+/// `count x b.cols()` and filled with `a[row_start .. row_start+count]
+/// @ b` by the one exact body, [`Matrix::matmul_window_into`]'s. The
+/// `Matrix` product methods run it on [`active_backend`]; the bitwise
+/// backend-equivalence tests call it with each backend.
+// Dispatch into the AVX2 shims (see the policy methods).
+#[allow(unsafe_code)]
+pub fn matmul_window_exact_with(
+    backend: Backend,
+    a: &Matrix,
+    row_start: usize,
+    count: usize,
+    b: &Matrix,
+    out: &mut Matrix,
+) {
+    assert!(
+        a.cols() == b.rows() && row_start + count <= a.rows(),
+        "matmul_window_exact_with: window {row_start}+{count} of {}x{} @ {}x{}",
+        a.rows(),
+        a.cols(),
+        b.rows(),
+        b.cols()
+    );
+    out.resize_zeroed(count, b.cols());
+    match backend {
+        Backend::Portable => a.matmul_window_kernel(row_start, count, b, out),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Backend::Avx2 values only exist on hosts where
+        // `detected_backend` verified the `avx2` feature.
+        Backend::Avx2 => unsafe { x86::exact_matmul_window(a, row_start, count, b, out) },
+    }
+}
+
+/// Exact `a @ b.T` on an explicit backend, `out` reshaped to
+/// `a.rows() x b.rows()` (the body of [`Matrix::matmul_transposed_into`]).
+// Dispatch into the AVX2 shims (see the policy methods).
+#[allow(unsafe_code)]
+pub fn matmul_transposed_exact_with(backend: Backend, a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    assert_eq!(
+        a.cols(),
+        b.cols(),
+        "matmul_transposed_exact_with: {}x{} @ ({}x{})^T",
+        a.rows(),
+        a.cols(),
+        b.rows(),
+        b.cols()
+    );
+    out.resize_zeroed(a.rows(), b.rows());
+    match backend {
+        Backend::Portable => a.matmul_transposed_kernel(b, out),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Backend::Avx2 values only exist on hosts where
+        // `detected_backend` verified the `avx2` feature.
+        Backend::Avx2 => unsafe { x86::exact_matmul_transposed(a, b, out) },
+    }
+}
+
+/// Exact `m @ v` on an explicit backend, `out` cleared and resized to
+/// `m.rows()` (the body of [`Matrix::matvec_into`]).
+// Dispatch into the AVX2 shims (see the policy methods).
+#[allow(unsafe_code)]
+pub fn matvec_exact_with(backend: Backend, m: &Matrix, v: &[f32], out: &mut Vec<f32>) {
+    assert_eq!(
+        m.cols(),
+        v.len(),
+        "matvec_exact_with: {}x{} @ vec of len {}",
+        m.rows(),
+        m.cols(),
+        v.len()
+    );
+    out.clear();
+    out.resize(m.rows(), 0.0);
+    match backend {
+        Backend::Portable => m.matvec_kernel(v, out),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Backend::Avx2 values only exist on hosts where
+        // `detected_backend` verified the `avx2` feature.
+        Backend::Avx2 => unsafe { x86::exact_matvec(m, v, out) },
+    }
+}
+
+/// Exact [`Matrix::add_transposed_matmul_blocked`] on an explicit
+/// backend: `acc[i][j] += Σ_k a[a_start+k][i] · b[b_start+k][j]`.
+// Dispatch into the AVX2 shims (see the policy methods).
+#[allow(unsafe_code, clippy::too_many_arguments)]
+pub fn add_transposed_matmul_blocked_exact_with(
+    backend: Backend,
+    acc: &mut Matrix,
+    a: &Matrix,
+    a_start: usize,
+    b: &Matrix,
+    b_start: usize,
+    count: usize,
+    cols_scratch: &mut Matrix,
+) {
+    assert!(
+        acc.shape() == (a.cols(), b.cols())
+            && a_start + count <= a.rows()
+            && b_start + count <= b.rows(),
+        "add_transposed_matmul_blocked_exact_with: acc {:?} vs windows {a_start}/{b_start}+{count} of {}x{} / {}x{}",
+        acc.shape(),
+        a.rows(),
+        a.cols(),
+        b.rows(),
+        b.cols()
+    );
+    match backend {
+        Backend::Portable => {
+            acc.add_transposed_matmul_blocked_kernel(a, a_start, b, b_start, count, cols_scratch);
+        }
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Backend::Avx2 values only exist on hosts where
+        // `detected_backend` verified the `avx2` feature.
+        Backend::Avx2 => unsafe {
+            x86::exact_add_transposed_matmul_blocked(
+                acc,
+                a,
+                a_start,
+                b,
+                b_start,
+                count,
+                cols_scratch,
+            );
+        },
+    }
+}
+
+/// Exact-tier elementwise tanh in place, on [`active_backend`]: an
+/// in-repo port of fdlibm's `tanhf` (the one glibc ships), bitwise
+/// equal to glibc's [`f32::tanh`] on every input and identical across
+/// backends — every exact path calls this instead of the host libm.
+pub fn tanh_exact(xs: &mut [f32]) {
+    tanh_exact_with(active_backend(), xs);
+}
+
+/// Explicit-backend exact tanh, for the dispatch-correctness tests.
+// Dispatch into runtime-verified AVX2 kernels (see the policy methods).
+#[allow(unsafe_code)]
+pub fn tanh_exact_with(backend: Backend, xs: &mut [f32]) {
+    match backend {
+        Backend::Portable => portable::tanh_exact_inplace(xs),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Backend::Avx2 values only exist on hosts where
+        // `detected_backend` verified the `avx2` feature.
+        Backend::Avx2 => unsafe { x86::tanh_exact_inplace(xs) },
+    }
+}
+
 /// Explicit-backend window product, for the dispatch-correctness tests:
 /// callers pick the backend instead of [`active_backend`]. Panics are
 /// impossible for `Avx2` on a non-AVX2 host because the variant cannot
@@ -329,7 +492,7 @@ pub fn dot_fast_with(backend: Backend, a: &[f32], b: &[f32]) -> f32 {
 /// [`f32::tanh`], bitwise identical across backends (elementwise, so
 /// there is no reduction order to preserve; both backends run the same
 /// per-element IEEE-754 chain). The Exact tier never calls this: exact
-/// paths keep [`f32::tanh`].
+/// paths use [`tanh_exact`].
 pub fn tanh_fast(xs: &mut [f32]) {
     tanh_fast_with(active_backend(), xs);
     crate::sanitize::assert_finite("tensor", "tanh_fast", xs);

@@ -1,17 +1,26 @@
-//! AVX2+FMA FastMath kernels. Only compiled on x86-64 and only *run*
+//! AVX2 kernels for both tiers. Only compiled on x86-64 and only *run*
 //! after [`super::detected_backend`] has verified the `avx2` and `fma`
 //! CPU features at runtime — the `Backend::Avx2` variant cannot be
 //! constructed any other way.
 //!
 //! # Bitwise contract with the portable backend
 //!
-//! Every output element is the same chain of IEEE-754 fused
+//! *FastMath.* Every output element is the same chain of IEEE-754 fused
 //! multiply-adds the portable kernels compute: `_mm256_fmadd_ps`
 //! performs one fused multiply-add per lane, exactly like scalar
 //! [`f32::mul_add`]. Column blocking (32/8/scalar in `matmul_window`)
 //! regroups *independent* per-column chains and therefore cannot change
 //! a bit; the dot kernel's register lanes and reduction tree mirror the
 //! portable eight-lane scheme index for index.
+//!
+//! *Exact.* The exact matmul kernels are not reimplemented here: each
+//! `exact_*` shim calls the one `#[inline(always)]` body in `matrix.rs`,
+//! compiled with `avx2` (not `fma`) enabled. LLVM may then only widen
+//! the body's independent per-column chains into 8-lane registers — it
+//! never reassociates a float add or contracts a mul-then-add without
+//! fast-math flags, which Rust does not emit — so every element keeps
+//! its scalar operation order. The exact tanh runs the portable
+//! `tanh_exact_one` chain per lane, with blends in place of branches.
 //
 // The one sanctioned opt-out from the workspace-wide `unsafe_code`
 // deny: SIMD intrinsics are unsafe by definition, and this module is
@@ -19,12 +28,20 @@
 // check rule).
 #![allow(unsafe_code)]
 
-use super::portable::{TANH_ALPHA, TANH_BETA, TANH_CLAMP};
+use super::portable::{
+    self, EXPM1_3HALF_LN2, EXPM1_HALF_LN2, EXPM1_Q, EXPM1_TINY, INV_LN2, LN2_HI, LN2_LO,
+    TANH_ALPHA, TANH_BETA, TANH_CLAMP, TANH_HUGE, TANH_ONE, TANH_TINY,
+};
 use super::reduce_lanes;
 use crate::Matrix;
 use std::arch::x86_64::{
-    _mm256_div_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps,
-    _mm256_set1_ps, _mm256_setzero_ps, _mm256_storeu_ps,
+    __m256, __m256i, _mm256_add_epi32, _mm256_add_ps, _mm256_and_si256, _mm256_andnot_si256,
+    _mm256_blendv_epi8, _mm256_blendv_ps, _mm256_castps_si256, _mm256_castsi256_ps, _mm256_cmp_ps,
+    _mm256_cmpeq_epi32, _mm256_cmpgt_epi32, _mm256_cvtepi32_ps, _mm256_cvttps_epi32, _mm256_div_ps,
+    _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_min_ps, _mm256_mul_ps, _mm256_or_si256,
+    _mm256_set1_epi32, _mm256_set1_ps, _mm256_setzero_ps, _mm256_setzero_si256, _mm256_slli_epi32,
+    _mm256_srlv_epi32, _mm256_storeu_ps, _mm256_sub_epi32, _mm256_sub_ps, _mm256_xor_si256,
+    _CMP_UNORD_Q,
 };
 
 /// FastMath window product into a pre-zeroed `out` (see
@@ -218,6 +235,216 @@ pub(super) unsafe fn tanh_inplace(xs: &mut [f32]) {
         _mm256_storeu_ps(p8, _mm256_div_ps(p, q));
     }
     for x in chunks.into_remainder() {
-        *x = super::portable::tanh_one(*x);
+        *x = portable::tanh_one(*x);
     }
+}
+
+/// Exact window product: `Matrix::matmul_window_kernel`, the body the
+/// portable backend runs, compiled with `avx2`.
+#[target_feature(enable = "avx2")]
+// etsb: allow(shape-assert) -- shapes validated by the exact dispatcher.
+pub(super) fn exact_matmul_window(
+    a: &Matrix,
+    row_start: usize,
+    count: usize,
+    b: &Matrix,
+    out: &mut Matrix,
+) {
+    a.matmul_window_kernel(row_start, count, b, out);
+}
+
+/// Exact `a @ b.T`: `Matrix::matmul_transposed_kernel` compiled with
+/// `avx2`.
+#[target_feature(enable = "avx2")]
+// etsb: allow(shape-assert) -- shapes validated by the exact dispatcher.
+pub(super) fn exact_matmul_transposed(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    a.matmul_transposed_kernel(b, out);
+}
+
+/// Exact `m @ v`: `Matrix::matvec_kernel` compiled with `avx2`.
+#[target_feature(enable = "avx2")]
+// etsb: allow(shape-assert) -- shapes validated by the exact dispatcher.
+pub(super) fn exact_matvec(m: &Matrix, v: &[f32], out: &mut [f32]) {
+    m.matvec_kernel(v, out);
+}
+
+/// Exact blocked weight-gradient accumulation:
+/// `Matrix::add_transposed_matmul_blocked_kernel` compiled with `avx2`.
+#[target_feature(enable = "avx2")]
+// etsb: allow(shape-assert) -- shapes validated by the exact dispatcher.
+pub(super) fn exact_add_transposed_matmul_blocked(
+    acc: &mut Matrix,
+    a: &Matrix,
+    a_start: usize,
+    b: &Matrix,
+    b_start: usize,
+    count: usize,
+    cols_scratch: &mut Matrix,
+) {
+    acc.add_transposed_matmul_blocked_kernel(a, a_start, b, b_start, count, cols_scratch);
+}
+
+/// Exact-tier elementwise tanh in place: [`tanh_exact8`] on every full
+/// register, the portable `tanh_exact_one` on the sub-register tail.
+///
+/// # Safety
+///
+/// The CPU must support `avx2`.
+// SAFETY: callers uphold the `# Safety` contract above — `Backend::Avx2`
+// existence proves avx2; any slice length is valid.
+#[target_feature(enable = "avx2")]
+pub(super) unsafe fn tanh_exact_inplace(xs: &mut [f32]) {
+    let mut chunks = xs.chunks_exact_mut(8);
+    for c in &mut chunks {
+        let p8 = c.as_mut_ptr();
+        // SAFETY: `c` is exactly eight contiguous f32s, read and then
+        // written back in place.
+        _mm256_storeu_ps(p8, tanh_exact8(_mm256_loadu_ps(p8)));
+    }
+    for x in chunks.into_remainder() {
+        *x = portable::tanh_exact_one(*x);
+    }
+}
+
+/// Lanes where the `|x|` bit pattern `ix` is at least `bound`.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn at_least(ix: __m256i, bound: u32) -> __m256i {
+    _mm256_cmpgt_epi32(ix, _mm256_set1_epi32(bound as i32 - 1))
+}
+
+/// Per-lane `if mask { a } else { b }` on f32 lanes.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn select(mask: __m256i, a: __m256, b: __m256) -> __m256 {
+    _mm256_blendv_ps(b, a, _mm256_castsi256_ps(mask))
+}
+
+/// `y · 2^k` for `k_shift = k << 23`, by integer addition to the
+/// exponent field (the scalar routine's `SET_FLOAT_WORD` step).
+#[inline]
+#[target_feature(enable = "avx2")]
+fn add_exponent(y: __m256, k_shift: __m256i) -> __m256 {
+    _mm256_castsi256_ps(_mm256_add_epi32(_mm256_castps_si256(y), k_shift))
+}
+
+/// Eight lanes of `portable::tanh_exact_one`: every branch of the
+/// scalar routine is computed for all lanes and the live one selected
+/// by a blend, so each lane runs exactly the scalar routine's IEEE-754
+/// operations on its own input (division is `_mm256_div_ps`, correctly
+/// rounded like scalar `/`; there is no fused multiply-add). NaN lanes
+/// return `x + x`, the quiet NaN the scalar `1/x ± 1` yields; ±inf
+/// lanes fall into the `|x| >= 22` branch, which gives the same ±1.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn tanh_exact8(x: __m256) -> __m256 {
+    let one = _mm256_set1_ps(1.0);
+    let two = _mm256_set1_ps(2.0);
+    let bits = _mm256_castps_si256(x);
+    let abs_mask = _mm256_set1_epi32(0x7fff_ffff);
+    let ix = _mm256_and_si256(bits, abs_mask);
+    let sign = _mm256_andnot_si256(abs_mask, bits);
+    let ax = _mm256_castsi256_ps(ix);
+    // |x| >= 1: z = 1 - 2/(expm1(2|x|) + 2); else z = -t/(t + 2) with
+    // t = expm1(-2|x|). Both divisions share one `_mm256_div_ps`.
+    let big = at_least(ix, TANH_ONE);
+    let t = expm1_tanh_arg8(_mm256_mul_ps(select(big, two, _mm256_set1_ps(-2.0)), ax));
+    let neg_t = _mm256_castsi256_ps(_mm256_xor_si256(
+        _mm256_castps_si256(t),
+        _mm256_set1_epi32(i32::MIN),
+    ));
+    let q = _mm256_div_ps(select(big, two, neg_t), _mm256_add_ps(t, two));
+    let z = select(big, _mm256_sub_ps(one, q), q);
+    let z = select(at_least(ix, TANH_HUGE), one, z);
+    let z = _mm256_castsi256_ps(_mm256_xor_si256(_mm256_castps_si256(z), sign));
+    let tiny = _mm256_mul_ps(x, _mm256_add_ps(one, x));
+    let z = select(at_least(ix, TANH_TINY), z, tiny);
+    let nan = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_UNORD_Q>(x, x));
+    select(nan, _mm256_add_ps(x, x), z)
+}
+
+/// Eight lanes of `portable::expm1_tanh_arg`, valid on the same domain
+/// (`[2, 44)` and `(-2, -2^-54]`). The reduction runs for every lane:
+/// `k = 0` lanes reduce by `0·ln2`, which leaves `r = x` and `c = 0`
+/// exactly, and `k = -1` lanes by `-1·ln2`, exactly the scalar
+/// `x + LN2_HI`, `-LN2_LO`.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn expm1_tanh_arg8(x: __m256) -> __m256 {
+    let bits = _mm256_castps_si256(x);
+    let abs_mask = _mm256_set1_epi32(0x7fff_ffff);
+    let hx = _mm256_and_si256(bits, abs_mask);
+    // k = trunc(x/ln2 ± 0.5), the sign of the half following x.
+    let signed_half = _mm256_castsi256_ps(_mm256_or_si256(
+        _mm256_castps_si256(_mm256_set1_ps(0.5)),
+        _mm256_andnot_si256(abs_mask, bits),
+    ));
+    let k_round = _mm256_cvttps_epi32(_mm256_add_ps(
+        _mm256_mul_ps(_mm256_set1_ps(INV_LN2), x),
+        signed_half,
+    ));
+    let k = _mm256_blendv_epi8(
+        k_round,
+        _mm256_set1_epi32(-1),
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(EXPM1_3HALF_LN2 as i32), hx),
+    );
+    let reduced = _mm256_cmpgt_epi32(hx, _mm256_set1_epi32(EXPM1_HALF_LN2 as i32));
+    let k = _mm256_and_si256(k, reduced);
+    let t = _mm256_cvtepi32_ps(k);
+    let hi = _mm256_sub_ps(x, _mm256_mul_ps(t, _mm256_set1_ps(LN2_HI)));
+    let lo = _mm256_mul_ps(t, _mm256_set1_ps(LN2_LO));
+    let r = _mm256_sub_ps(hi, lo);
+    let c = _mm256_sub_ps(_mm256_sub_ps(hi, r), lo);
+
+    let one = _mm256_set1_ps(1.0);
+    let half = _mm256_set1_ps(0.5);
+    let hfx = _mm256_mul_ps(half, r);
+    let hxs = _mm256_mul_ps(r, hfx);
+    // Horner from Q5 down, as the scalar nesting evaluates it.
+    let mut poly = _mm256_set1_ps(EXPM1_Q[4]);
+    for &q in EXPM1_Q[..4].iter().rev() {
+        poly = _mm256_add_ps(_mm256_set1_ps(q), _mm256_mul_ps(hxs, poly));
+    }
+    let r1 = _mm256_add_ps(one, _mm256_mul_ps(hxs, poly));
+    let t = _mm256_sub_ps(_mm256_set1_ps(3.0), _mm256_mul_ps(r1, hfx));
+    let e = _mm256_mul_ps(
+        hxs,
+        _mm256_div_ps(
+            _mm256_sub_ps(r1, t),
+            _mm256_sub_ps(_mm256_set1_ps(6.0), _mm256_mul_ps(r, t)),
+        ),
+    );
+    let k0 = _mm256_sub_ps(r, _mm256_sub_ps(_mm256_mul_ps(r, e), hxs));
+    let e = _mm256_sub_ps(_mm256_sub_ps(_mm256_mul_ps(r, _mm256_sub_ps(e, c)), c), hxs);
+    let k_minus1 = _mm256_sub_ps(_mm256_mul_ps(half, _mm256_sub_ps(r, e)), half);
+    // Scale by 2^k through the exponent field.
+    let k_shift = _mm256_slli_epi32::<23>(k);
+    let e_minus_r = _mm256_sub_ps(e, r);
+    // k <= -2 or k > 56.
+    let far = _mm256_sub_ps(add_exponent(_mm256_sub_ps(one, e_minus_r), k_shift), one);
+    // 2 <= k < 23, with t = 1 - 2^-k.
+    let t_low = _mm256_castsi256_ps(_mm256_sub_epi32(
+        _mm256_set1_epi32(0x3f80_0000),
+        _mm256_srlv_epi32(_mm256_set1_epi32(0x0100_0000), k),
+    ));
+    let low = add_exponent(_mm256_sub_ps(t_low, e_minus_r), k_shift);
+    // 23 <= k <= 56, with t = 2^-k.
+    let t_high = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_sub_epi32(
+        _mm256_set1_epi32(0x7f),
+        k,
+    )));
+    let high = add_exponent(
+        _mm256_add_ps(_mm256_sub_ps(r, _mm256_add_ps(e, t_high)), one),
+        k_shift,
+    );
+
+    let y = select(_mm256_cmpgt_epi32(_mm256_set1_epi32(23), k), low, high);
+    let is_far = _mm256_or_si256(
+        _mm256_cmpgt_epi32(k, _mm256_set1_epi32(56)),
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(-1), k),
+    );
+    let y = select(is_far, far, y);
+    let y = select(_mm256_cmpeq_epi32(k, _mm256_set1_epi32(-1)), k_minus1, y);
+    let y = select(_mm256_cmpeq_epi32(k, _mm256_setzero_si256()), k0, y);
+    select(at_least(hx, EXPM1_TINY), y, x)
 }

@@ -48,12 +48,15 @@
 #                                         not move; --validate schema-
 #                                         checks BENCH_stream.json and
 #                                         trace_lint gates the manifest
-#  12. forced-portable dispatch          -- fast-math suites again with
+#  12. forced-portable dispatch          -- fast-math and exact-tier
+#                                         bitwise suites again with
 #                                         ETSB_KERNELS=portable, so the
 #                                         scalar fallback (the only
 #                                         backend a non-AVX2 host ever
-#                                         runs) keeps the epsilon and
-#                                         dispatch contracts too
+#                                         runs, for both kernel tiers)
+#                                         keeps the epsilon, dispatch,
+#                                         golden-bits and batched-vs-
+#                                         per-sample contracts too
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -134,8 +137,10 @@ EOF
         --manifest "$tmpdir/BENCH_stream.manifest.json"
 
     step "forced-portable kernel dispatch (ETSB_KERNELS=portable)"
-    ETSB_KERNELS=portable cargo test -q -p etsb-tensor --test kernel_dispatch
+    ETSB_KERNELS=portable cargo test -q -p etsb-tensor --test kernel_dispatch --test exact_dispatch
     ETSB_KERNELS=portable cargo test -q -p etsb-core --test fast_math_equiv
+    ETSB_KERNELS=portable cargo test -q -p etsb-core --test determinism --test streaming
+    ETSB_KERNELS=portable cargo test -q -p etsb-serve --test serve
 fi
 
 printf '\nAll checks passed.\n'

@@ -522,3 +522,55 @@ fn metrics_registry_never_changes_model_outputs() {
         .expect("shard histogram registered");
     assert!(shards.count > 0, "no shards timed");
 }
+
+/// Golden bits of the Exact tier: a small fixed ETSB training run plus
+/// exact predictions, folded into one hash of the loss and probability
+/// bit patterns. The pin was computed before the exact kernels were
+/// AVX2-dispatched and the libm tanh was replaced by the in-repo port,
+/// so it holds only if neither change moved a bit — on the detected
+/// backend and under `ETSB_KERNELS=portable` alike. Hidden widths of 20
+/// and 9 leave sub-register tails in every 8-lane kernel.
+#[test]
+fn exact_training_reproduces_golden_bits() {
+    use etsb_core::encode::EncodedDataset;
+    use etsb_core::model::AnyModel;
+    use etsb_core::train::train_model;
+    use etsb_tensor::init::seeded_rng;
+
+    let pair = Dataset::Beers
+        .generate(&GenConfig {
+            scale: 0.03,
+            seed: 14,
+        })
+        .expect("dataset generation");
+    let frame = CellFrame::merge(&pair.dirty, &pair.clean).unwrap();
+    let data = EncodedDataset::from_frame(&frame);
+    let sample = sampling::diver_set(&frame, 10, 3);
+    let (train, test) = data.split_by_tuples(&sample);
+    let cfg = TrainConfig {
+        rnn_units: 20,
+        attr_rnn_units: 9,
+        head_dim: 12,
+        ..tiny_cfg().train
+    };
+    let mut model = AnyModel::new(ModelKind::Etsb, &data, &cfg, &mut seeded_rng(41));
+    let history = train_model(&mut model, &data, &train, &test, &cfg, 23);
+    let cells: Vec<usize> = (0..data.n_cells()).collect();
+    let probs = model.predict_probs(&data, &cells);
+    let hash = history
+        .train_loss
+        .iter()
+        .chain(&probs)
+        .fold(0xcbf2_9ce4_8422_2325_u64, |h, x| {
+            (h ^ u64::from(x.to_bits())).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    assert_eq!(
+        (history.train_loss.len(), probs.len()),
+        (6, 792),
+        "workload shape changed; the golden hash no longer applies"
+    );
+    assert_eq!(
+        hash, 0x5001_9a18_cde7_b9cc,
+        "exact training/prediction bits drifted from the golden run"
+    );
+}

@@ -14,7 +14,7 @@
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use etsb_core::config::{ModelKind, TrainConfig};
 use etsb_core::model::AnyModel;
@@ -28,29 +28,42 @@ use std::fmt::Write as _;
 /// delegating the actual work to the system allocator.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations made by the current thread. A process-wide count
+    /// would also see whatever sibling tests and the test harness
+    /// allocate on their own threads (the harness spawns the next test
+    /// and collects captured output whenever one finishes), so each test
+    /// counts only the thread running the code it measures. That code is
+    /// single-threaded: no measured window spawns workers.
+    /// Const-initialised and drop-free, so reading it never allocates.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: every method delegates verbatim to the System allocator after
-// bumping an atomic counter; the GlobalAlloc contract (layout validity,
+// bumping a thread-local counter; the GlobalAlloc contract (layout validity,
 // pointer provenance) is upheld by System itself.
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: caller upholds the GlobalAlloc contract; System does the work.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_allocation();
         // SAFETY: `layout` is the caller's, passed through unchanged.
         unsafe { System.alloc(layout) }
     }
 
     // SAFETY: caller upholds the GlobalAlloc contract; System does the work.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_allocation();
         // SAFETY: `layout` is the caller's, passed through unchanged.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     // SAFETY: caller upholds the GlobalAlloc contract; System does the work.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_allocation();
         // SAFETY: `ptr`/`layout` came from this allocator (which is System).
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -66,7 +79,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn allocations() -> usize {
-    ALLOCATIONS.load(Ordering::SeqCst)
+    ALLOCATIONS.with(Cell::get)
 }
 
 const N_COLS: usize = 3;
