@@ -1,20 +1,17 @@
 //! Machine-readable hot-path benchmark summary.
 //!
-//! Times the sequence hot path (StackedBiRnn forward + backward, 64
-//! units/direction) on three per-sample arms — the frozen pre-change
-//! implementation ([`etsb_bench::hotpath_baseline`]), the current
-//! allocating reference path, and the workspace `_into` path — plus a
-//! train_batch-shaped pair (`batch_forward_backward/*`): a 16-sequence
-//! mixed-length mini-batch through the per-sample workspace loop versus
-//! one timestep-major batched pass, and an inference-only pair
+//! Times the batched sequence hot path (StackedBiRnn, 64
+//! units/direction): a train_batch-shaped forward + backward
+//! (`batch_forward_backward/batched/*`, one timestep-major pass over a
+//! 256-sequence mixed-length mini-batch) and an inference-only pair
 //! (`inference_exact/*` vs `inference_fast/*`) timing the batched
 //! forward pass under both kernel policies. It then writes
 //! `BENCH_hotpath.json`: a JSON array of
 //! `{"bench": ..., "mean_ns": ..., "iqr_ns": ..., "samples": ...}`
 //! entries that `run_checks.sh` schema-validates and CI can trend.
-//! Arms are interleaved round by round and `mean_ns` is an
-//! interquartile mean, so background load perturbs the reported
-//! speedups as little as possible.
+//! The two policy arms are interleaved round by round and `mean_ns` is
+//! an interquartile mean, so background load perturbs the reported
+//! speedup as little as possible.
 //!
 //! ```text
 //! cargo run --release -p etsb-bench --bin bench_summary              # full run
@@ -22,7 +19,6 @@
 //! cargo run --release -p etsb-bench --bin bench_summary -- --validate BENCH_hotpath.json
 //! ```
 
-use etsb_bench::hotpath_baseline;
 use etsb_nn::{KernelPolicy, RnnCell, SeqBatch, StackedBiRnn, StackedBiRnnCache};
 use etsb_obs::json::{self, Value};
 use etsb_tensor::{init, Matrix, Workspace};
@@ -88,104 +84,12 @@ fn main() {
     }
 }
 
-/// Run every benchmark, print a human summary (including the
-/// workspace-vs-naive speedup per length) and write [`OUT_FILE`].
+/// Run every benchmark, print a human summary and write [`OUT_FILE`].
 fn run(samples: usize) {
     let mut rng = init::seeded_rng(1);
     let net: StackedBiRnn<RnnCell> = StackedBiRnn::new(EMBED_DIM, HIDDEN, &mut rng);
-    let mut grads = etsb_nn::grad_buffer_for(&net.params());
-    let grad_out = vec![1.0_f32; net.output_dim()];
 
     let mut results: Vec<BenchResult> = Vec::new();
-    for &len in &LENGTHS {
-        let input = init::glorot_uniform(len, EMBED_DIM, &mut rng);
-
-        let mut ws = Workspace::new();
-        let mut cache = StackedBiRnnCache::<RnnCell>::default();
-        let mut feat = vec![0.0_f32; net.output_dim()];
-        let mut grad_inputs = Matrix::default();
-        // Warm the workspace buffer pool so its arm measures steady state.
-        net.forward_into(&input, &mut feat, &mut cache, &mut ws);
-        net.backward_into(
-            &cache,
-            &grad_out,
-            grads.slots_mut(),
-            &mut grad_inputs,
-            &mut ws,
-        );
-
-        // The three arms are interleaved round by round so a background
-        // load spike lands on all of them, not just whichever arm owned
-        // that window — the speedup ratio stays honest on a noisy box.
-        let mut pre_ns = Vec::with_capacity(samples);
-        let mut naive_ns = Vec::with_capacity(samples);
-        let mut ws_ns = Vec::with_capacity(samples);
-        for round in 0..=samples {
-            let t = Instant::now();
-            let (out, bcache) = hotpath_baseline::forward(&net, input.clone());
-            std::hint::black_box(&out);
-            std::hint::black_box(hotpath_baseline::backward(
-                &net,
-                &bcache,
-                &grad_out,
-                grads.slots_mut(),
-            ));
-            let pre = t.elapsed().as_nanos() as f64;
-
-            let t = Instant::now();
-            let (out, acache) = net.forward(input.clone());
-            std::hint::black_box(&out);
-            std::hint::black_box(net.backward(&acache, &grad_out, grads.slots_mut()));
-            let naive = t.elapsed().as_nanos() as f64;
-
-            let t = Instant::now();
-            net.forward_into(&input, &mut feat, &mut cache, &mut ws);
-            std::hint::black_box(&feat);
-            net.backward_into(
-                &cache,
-                &grad_out,
-                grads.slots_mut(),
-                &mut grad_inputs,
-                &mut ws,
-            );
-            std::hint::black_box(&grad_inputs);
-            let wsn = t.elapsed().as_nanos() as f64;
-
-            // Round 0 is the warm-up pass; discard it.
-            if round > 0 {
-                pre_ns.push(pre);
-                naive_ns.push(naive);
-                ws_ns.push(wsn);
-            }
-        }
-        let (prechange, pre_iqr) = summarize(&mut pre_ns);
-        let (naive, naive_iqr) = summarize(&mut naive_ns);
-        let (workspace, ws_iqr) = summarize(&mut ws_ns);
-
-        println!(
-            "seq_forward_backward/{len:<4} prechange {prechange:>12.0} ns   naive {naive:>12.0} ns   workspace {workspace:>12.0} ns   speedup(vs prechange) {:>5.2}x",
-            prechange / workspace
-        );
-        results.push(BenchResult {
-            bench: format!("seq_forward_backward/prechange/{len}"),
-            mean_ns: prechange,
-            iqr_ns: pre_iqr,
-            samples,
-        });
-        results.push(BenchResult {
-            bench: format!("seq_forward_backward/naive/{len}"),
-            mean_ns: naive,
-            iqr_ns: naive_iqr,
-            samples,
-        });
-        results.push(BenchResult {
-            bench: format!("seq_forward_backward/workspace/{len}"),
-            mean_ns: workspace,
-            iqr_ns: ws_iqr,
-            samples,
-        });
-    }
-
     bench_batch(&net, samples, &mut results, &mut rng);
     bench_inference(&net, samples, &mut results, &mut rng);
 
@@ -208,11 +112,9 @@ fn run(samples: usize) {
     println!("wrote {OUT_FILE}");
 }
 
-/// Benchmark a whole mini-batch through the stack: the per-sample
-/// workspace loop (the former hot path) against one timestep-major
-/// batched pass over the same sequences. Arms are interleaved round by
-/// round like the per-sample benches, and the first round warms every
-/// buffer pool before measurement starts.
+/// Benchmark a whole mini-batch through the stack: one timestep-major
+/// batched forward + backward pass. The first round warms every buffer
+/// pool and is discarded.
 fn bench_batch(
     net: &StackedBiRnn<RnnCell>,
     samples: usize,
@@ -235,80 +137,42 @@ fn bench_batch(
         }
     }
     let grad_features = Matrix::from_fn(n, net.output_dim(), |_, _| 1.0);
-    let grad_out = vec![1.0_f32; net.output_dim()];
     let mut grads = etsb_nn::grad_buffer_for(&net.params());
 
-    // Per-sample arm state.
-    let mut ws_s = Workspace::new();
-    let mut caches: Vec<StackedBiRnnCache<RnnCell>> =
-        (0..n).map(|_| StackedBiRnnCache::default()).collect();
-    let mut feat = vec![0.0_f32; net.output_dim()];
-    let mut grad_inputs = Matrix::default();
-
-    // Batched arm state.
-    let mut ws_b = Workspace::new();
-    let mut bcache = StackedBiRnnCache::<RnnCell>::default();
+    let mut ws = Workspace::new();
+    let mut cache = StackedBiRnnCache::<RnnCell>::default();
     let mut features = Matrix::default();
     let mut grad_packed = Matrix::default();
 
-    let mut per_sample_ns = Vec::with_capacity(samples);
-    let mut batched_ns = Vec::with_capacity(samples);
+    let mut ns = Vec::with_capacity(samples);
     for round in 0..=samples {
-        let t = Instant::now();
-        for (input, cache) in inputs.iter().zip(&mut caches) {
-            net.forward_into(input, &mut feat, cache, &mut ws_s);
-            std::hint::black_box(&feat);
-        }
-        for cache in &caches {
-            net.backward_into(
-                cache,
-                &grad_out,
-                grads.slots_mut(),
-                &mut grad_inputs,
-                &mut ws_s,
-            );
-        }
-        std::hint::black_box(&grad_inputs);
-        let per_sample = t.elapsed().as_nanos() as f64;
-
         let t = Instant::now();
         net.forward_batch_into(
             &packed,
             &batch,
             &mut features,
-            &mut bcache,
-            &mut ws_b,
+            &mut cache,
+            &mut ws,
             KernelPolicy::Exact,
         );
         std::hint::black_box(&features);
         net.backward_batch_into(
             &batch,
-            &bcache,
+            &cache,
             &grad_features,
             grads.slots_mut(),
             &mut grad_packed,
-            &mut ws_b,
+            &mut ws,
         );
         std::hint::black_box(&grad_packed);
-        let batched = t.elapsed().as_nanos() as f64;
+        let elapsed = t.elapsed().as_nanos() as f64;
 
         if round > 0 {
-            per_sample_ns.push(per_sample);
-            batched_ns.push(batched);
+            ns.push(elapsed);
         }
     }
-    let (per_sample, per_sample_iqr) = summarize(&mut per_sample_ns);
-    let (batched, batched_iqr) = summarize(&mut batched_ns);
-    println!(
-        "batch_forward_backward/B{n}  workspace {per_sample:>12.0} ns   batched {batched:>12.0} ns   speedup(vs per-sample) {:>5.2}x",
-        per_sample / batched
-    );
-    results.push(BenchResult {
-        bench: format!("batch_forward_backward/workspace/B{n}"),
-        mean_ns: per_sample,
-        iqr_ns: per_sample_iqr,
-        samples,
-    });
+    let (batched, batched_iqr) = summarize(&mut ns);
+    println!("batch_forward_backward/B{n}  batched {batched:>12.0} ns");
     results.push(BenchResult {
         bench: format!("batch_forward_backward/batched/B{n}"),
         mean_ns: batched,
@@ -413,9 +277,8 @@ fn summarize(samples: &mut [f64]) -> (f64, f64) {
 /// Schema-check a summary file: a non-empty JSON array whose entries
 /// carry a string `bench`, a positive finite `mean_ns`, a finite
 /// non-negative `iqr_ns` and a positive integer `samples`, covering the
-/// per-sample (`seq_forward_backward/`), batched
-/// (`batch_forward_backward/`) and kernel-policy (`inference_exact/`,
-/// `inference_fast/`) arm families.
+/// batched (`batch_forward_backward/`) and kernel-policy
+/// (`inference_exact/`, `inference_fast/`) arm families.
 fn validate(path: &str) -> Result<usize, String> {
     let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
     let value = json::parse(&text).map_err(|e| format!("invalid JSON: {e:?}"))?;
@@ -456,7 +319,6 @@ fn validate(path: &str) -> Result<usize, String> {
         }
     }
     for prefix in [
-        "seq_forward_backward/",
         "batch_forward_backward/",
         "inference_exact/",
         "inference_fast/",

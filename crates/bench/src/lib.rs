@@ -23,7 +23,6 @@
 #![warn(missing_docs)]
 
 pub mod harness;
-pub mod hotpath_baseline;
 
 use etsb_core::config::{ExperimentConfig, ModelKind, SamplerKind, TrainConfig};
 use etsb_datasets::{Dataset, GenConfig};

@@ -1,13 +1,15 @@
-//! Bounded, deterministic prediction cache shared across `predict_probs`
-//! calls — the per-call memo of [`crate::model::AnyModel::predict_probs`]
+//! Bounded, deterministic prediction cache shared across
+//! [`crate::model::AnyModel::predict_probs_cached_with`] calls — the
+//! per-call memo of [`crate::model::AnyModel::predict_probs_with`]
 //! promoted to a resident structure a long-lived service can reuse.
 //!
 //! The cache is an LRU keyed by the owned form of [`crate::model::memo_key`]:
 //! `(attribute id, length_norm bits, character sequence)` — every input the
 //! models read for a cell. Because evaluation-mode inference is
 //! row-independent (the head's BatchNorm uses running statistics) and the
-//! batched sequence path is bitwise identical to the per-sample path, a
-//! cached probability is bit-for-bit the value a fresh forward pass would
+//! batched sequence path gives every sample the bits the allocating
+//! per-sample oracle gives it, whatever batch it runs in, a cached
+//! probability is bit-for-bit the value a fresh forward pass would
 //! produce, so serving from the cache never changes an output.
 //!
 //! Determinism of the *cache itself*: recency is tracked in a

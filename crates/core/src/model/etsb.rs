@@ -10,7 +10,7 @@
 //! into one length-bucketed batch per path — the attribute path is a
 //! rectangular batch of length-1 sequences — so the whole shard moves
 //! through the batched kernels at once, bitwise identical to the
-//! per-sample workspace path.
+//! allocating per-sample oracle.
 
 use super::{AnyStacked, AnyStackedCache, Head};
 use crate::config::TrainConfig;
@@ -18,11 +18,6 @@ use crate::encode::EncodedDataset;
 use etsb_nn::{parallel, softmax_cross_entropy, Activation, Dense, Embedding, Param, SeqBatch};
 use etsb_tensor::{GradBuffer, KernelPolicy, Matrix, Workspace};
 use rand::rngs::StdRng;
-
-/// A per-path forward cache: embedding lookup + recurrent stack (the
-/// per-sample reference path, kept for the bitwise-equivalence tests).
-#[cfg(test)]
-type PathCache = (etsb_nn::EmbeddingCache, AnyStackedCache);
 
 /// One shard of a batch, encoded batch-major on both recurrent paths.
 struct ShardEnc {
@@ -85,39 +80,6 @@ impl EtsbRnn {
     /// Concatenated feature width.
     fn feature_dim(&self) -> usize {
         self.char_dim + self.attr_dim + self.len_dim
-    }
-
-    /// Per-sample reference encoder for the bitwise-equivalence tests:
-    /// character + attribute features for one cell through the per-sample
-    /// workspace path.
-    #[cfg(test)]
-    fn encode_seq_paths_into(
-        &self,
-        seq: &[usize],
-        attr: usize,
-        ws: &mut Workspace,
-        embedded: &mut Matrix,
-        attr_embedded: &mut Matrix,
-    ) -> (Vec<f32>, Vec<f32>, PathCache, PathCache) {
-        let mut emb_cache = etsb_nn::EmbeddingCache::default();
-        self.embedding.forward_into(seq, embedded, &mut emb_cache);
-        let mut rnn_cache = self.rnn.empty_cache();
-        let mut char_feat = vec![0.0_f32; self.char_dim];
-        self.rnn
-            .forward_into(embedded, &mut char_feat, &mut rnn_cache, ws);
-        let mut attr_emb_cache = etsb_nn::EmbeddingCache::default();
-        self.attr_embedding
-            .forward_into(&[attr], attr_embedded, &mut attr_emb_cache);
-        let mut attr_rnn_cache = self.attr_rnn.empty_cache();
-        let mut attr_feat = vec![0.0_f32; self.attr_dim];
-        self.attr_rnn
-            .forward_into(attr_embedded, &mut attr_feat, &mut attr_rnn_cache, ws);
-        (
-            char_feat,
-            attr_feat,
-            (emb_cache, rnn_cache),
-            (attr_emb_cache, attr_rnn_cache),
-        )
     }
 
     /// Encode one shard of cells batch-major on both recurrent paths.
@@ -183,7 +145,7 @@ impl EtsbRnn {
     /// deterministic fold shard; the batch-coupled length dense and head
     /// stay on merged batch matrices. Per-shard gradient buffers merge in
     /// fixed shard order, so the result is bitwise identical to the
-    /// per-sample workspace path for any worker count.
+    /// allocating per-sample oracle for any worker count.
     pub fn train_batch(
         &mut self,
         data: &EncodedDataset,
@@ -331,14 +293,9 @@ impl EtsbRnn {
 
     /// Error probabilities (evaluation mode), batch-major: each fold shard
     /// of the requested cells packs into one batch per recurrent path, so
-    /// inference shares the training hot path.
-    pub fn predict_probs(&self, data: &EncodedDataset, cells: &[usize]) -> Vec<f32> {
-        self.predict_probs_with(data, cells, KernelPolicy::Exact)
-    }
-
-    /// [`EtsbRnn::predict_probs`] under an explicit [`KernelPolicy`]:
-    /// `Exact` keeps the bitwise contract, `FastMath` runs both batched
-    /// sequence encoders on the fused inference kernels.
+    /// inference shares the training hot path. `Exact` keeps the bitwise
+    /// contract, `FastMath` runs both batched sequence encoders on the
+    /// fused inference kernels.
     pub fn predict_probs_with(
         &self,
         data: &EncodedDataset,
@@ -436,8 +393,8 @@ mod tests {
         }
     }
 
-    /// The pre-batching ETSB training step, reproduced exactly: per-sample
-    /// workspace forward/backward on both recurrent paths, sharded with
+    /// The pre-batching ETSB training step, reproduced exactly: allocating
+    /// per-sample forward/backward on both recurrent paths, sharded with
     /// [`parallel::fold_shards`] boundaries and merged in shard order.
     fn reference_train_batch(
         model: &mut EtsbRnn,
@@ -449,24 +406,20 @@ mod tests {
         let mut features = Matrix::zeros(n, model.feature_dim());
         let len_inputs = Matrix::from_fn(n, 1, |r, _| data.length_norms[batch[r]]);
         let (len_feats, len_cache) = model.len_dense.forward(len_inputs);
-        let mut ws = Workspace::new();
-        let (mut embedded, mut attr_embedded) = (Matrix::default(), Matrix::default());
         let mut char_caches = Vec::with_capacity(n);
         let mut attr_caches = Vec::with_capacity(n);
         for (row, &cell) in batch.iter().enumerate() {
-            let (char_feat, attr_feat, cc, ac) = model.encode_seq_paths_into(
-                &data.sequences[cell],
-                data.attr_ids[cell],
-                &mut ws,
-                &mut embedded,
-                &mut attr_embedded,
-            );
+            let (embedded, emb_cache) = model.embedding.forward(&data.sequences[cell]);
+            let (char_feat, rnn_cache) = model.rnn.forward(embedded);
+            let (attr_embedded, attr_emb_cache) =
+                model.attr_embedding.forward(&[data.attr_ids[cell]]);
+            let (attr_feat, attr_rnn_cache) = model.attr_rnn.forward(attr_embedded);
             let out = features.row_mut(row);
             out[..model.char_dim].copy_from_slice(&char_feat);
             out[model.char_dim..model.char_dim + model.attr_dim].copy_from_slice(&attr_feat);
             out[model.char_dim + model.attr_dim..].copy_from_slice(len_feats.row(row));
-            char_caches.push(cc);
-            attr_caches.push(ac);
+            char_caches.push((emb_cache, rnn_cache));
+            attr_caches.push((attr_emb_cache, attr_rnn_cache));
         }
         let labels: Vec<usize> = batch.iter().map(|&c| usize::from(data.labels[c])).collect();
         let (logits, head_cache) = model.head.forward_train(features);
@@ -486,9 +439,6 @@ mod tests {
         let mut bufs = Vec::new();
         for s in 0..shards {
             let mut acc = GradBuffer::from_shapes(seq_shapes.iter().copied());
-            let mut ws = Workspace::new();
-            let (mut grad_embedded, mut grad_attr_embedded) =
-                (Matrix::default(), Matrix::default());
             for i in (s * chunk).min(n)..((s + 1) * chunk).min(n) {
                 let (char_part, attr_part) = acc.slots_mut().split_at_mut(13);
                 let (emb_slot, rnn_slots) = char_part.split_at_mut(1);
@@ -496,22 +446,14 @@ mod tests {
                 let (emb_cache, rnn_cache) = &char_caches[i];
                 let (attr_emb_cache, attr_rnn_cache) = &attr_caches[i];
                 let g = grad_features.row(i);
-                model.rnn.backward_into(
-                    rnn_cache,
-                    &g[..char_dim],
-                    rnn_slots,
-                    &mut grad_embedded,
-                    &mut ws,
-                );
+                let grad_embedded = model.rnn.backward(rnn_cache, &g[..char_dim], rnn_slots);
                 model
                     .embedding
                     .backward(emb_cache, &grad_embedded, &mut emb_slot[0]);
-                model.attr_rnn.backward_into(
+                let grad_attr_embedded = model.attr_rnn.backward(
                     attr_rnn_cache,
                     &g[char_dim..char_dim + attr_dim],
                     attr_rnn_slots,
-                    &mut grad_attr_embedded,
-                    &mut ws,
                 );
                 model.attr_embedding.backward(
                     attr_emb_cache,
@@ -543,8 +485,8 @@ mod tests {
     }
 
     /// The tentpole guarantee for the enriched model: batched shard
-    /// execution on both recurrent paths matches the per-sample workspace
-    /// path bit for bit — loss, all 34 gradient slots, and predictions.
+    /// execution on both recurrent paths matches the allocating per-sample
+    /// oracle bit for bit — loss, all 34 gradient slots, and predictions.
     #[test]
     fn batched_train_matches_per_sample_reference_bitwise() {
         let data = marked_dataset(30);
@@ -564,8 +506,8 @@ mod tests {
                 "gradient slot {i} diverged"
             );
         }
-        let probs_b = batched.predict_probs(&data, &batch);
-        let probs_r = reference.predict_probs(&data, &batch);
+        let probs_b = batched.predict_probs_with(&data, &batch, KernelPolicy::Exact);
+        let probs_r = reference.predict_probs_with(&data, &batch, KernelPolicy::Exact);
         assert_eq!(probs_b, probs_r);
     }
 
@@ -588,7 +530,7 @@ mod tests {
         let mut twin = data.clone();
         twin.sequences[1] = twin.sequences[0].clone();
         twin.length_norms[1] = twin.length_norms[0];
-        let probs = model.predict_probs(&twin, &[0, 1]);
+        let probs = model.predict_probs_with(&twin, &[0, 1], KernelPolicy::Exact);
         assert!(
             (probs[0] - probs[1]).abs() > 1e-6,
             "attribute path had no effect: {probs:?}"

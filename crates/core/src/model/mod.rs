@@ -18,7 +18,8 @@ use rand::rngs::StdRng;
 
 /// A cache built by one cell kind was handed to another — an internal
 /// invariant violation (caches are created by [`AnyStacked::empty_cache`]
-/// or [`AnyStacked::forward`] on the same instance), never a data error.
+/// or the test-only allocating `forward` on the same instance), never a
+/// data error.
 fn cache_mismatch() -> ! {
     // etsb: allow(no-unwrap) -- internal invariant: cache variants are produced by this enum
     panic!("AnyStacked: cache kind does not match cell kind")
@@ -65,9 +66,8 @@ impl AnyStacked {
         }
     }
 
-    /// A reusable cache matching this instance's cell kind, for the
-    /// allocation-free `_into` paths. Its buffers grow on first use and
-    /// are recycled across samples.
+    /// An empty cache matching this instance's cell kind, for the
+    /// batched `_batch_into` paths to rebuild in place.
     pub(crate) fn empty_cache(&self) -> AnyStackedCache {
         match self {
             AnyStacked::Vanilla(_) => AnyStackedCache::Vanilla(Default::default()),
@@ -76,51 +76,41 @@ impl AnyStacked {
         }
     }
 
-    /// Allocation-free per-sample forward: the feature vector lands in
-    /// `out`, the cache and workspace buffers are recycled across samples.
-    /// The production paths run batch-major; this is the per-sample
-    /// reference the bitwise-equivalence tests compare against.
+    /// Allocating per-sample forward: the oracle the bitwise-equivalence
+    /// tests replay one sample at a time against the batched path.
     #[cfg(test)]
-    pub(crate) fn forward_into(
-        &self,
-        inputs: &Matrix,
-        out: &mut [f32],
-        cache: &mut AnyStackedCache,
-        ws: &mut Workspace,
-    ) {
-        match (self, cache) {
-            (AnyStacked::Vanilla(n), AnyStackedCache::Vanilla(c)) => {
-                n.forward_into(inputs, out, c, ws);
+    pub(crate) fn forward(&self, inputs: Matrix) -> (Vec<f32>, AnyStackedCache) {
+        match self {
+            AnyStacked::Vanilla(n) => {
+                let (out, c) = n.forward(inputs);
+                (out, AnyStackedCache::Vanilla(c))
             }
-            (AnyStacked::Lstm(n), AnyStackedCache::Lstm(c)) => n.forward_into(inputs, out, c, ws),
-            (AnyStacked::Gru(n), AnyStackedCache::Gru(c)) => n.forward_into(inputs, out, c, ws),
-            _ => cache_mismatch(),
+            AnyStacked::Lstm(n) => {
+                let (out, c) = n.forward(inputs);
+                (out, AnyStackedCache::Lstm(c))
+            }
+            AnyStacked::Gru(n) => {
+                let (out, c) = n.forward(inputs);
+                (out, AnyStackedCache::Gru(c))
+            }
         }
     }
 
-    /// Per-sample backward on `&self`: parameter gradients accumulate into
-    /// `grads` (one slot per parameter, [`AnyStacked::params`] order).
-    /// Like [`AnyStacked::forward_into`], kept as the per-sample reference
-    /// for the bitwise-equivalence tests.
+    /// Allocating per-sample backward companion of [`AnyStacked::forward`]:
+    /// parameter gradients accumulate into `grads` (one slot per
+    /// parameter, [`AnyStacked::params`] order); returns the input
+    /// gradient.
     #[cfg(test)]
-    pub(crate) fn backward_into(
+    pub(crate) fn backward(
         &self,
         cache: &AnyStackedCache,
         grad_out: &[f32],
         grads: &mut [Matrix],
-        grad_inputs: &mut Matrix,
-        ws: &mut Workspace,
-    ) {
+    ) -> Matrix {
         match (self, cache) {
-            (AnyStacked::Vanilla(n), AnyStackedCache::Vanilla(c)) => {
-                n.backward_into(c, grad_out, grads, grad_inputs, ws);
-            }
-            (AnyStacked::Lstm(n), AnyStackedCache::Lstm(c)) => {
-                n.backward_into(c, grad_out, grads, grad_inputs, ws);
-            }
-            (AnyStacked::Gru(n), AnyStackedCache::Gru(c)) => {
-                n.backward_into(c, grad_out, grads, grad_inputs, ws);
-            }
+            (AnyStacked::Vanilla(n), AnyStackedCache::Vanilla(c)) => n.backward(c, grad_out, grads),
+            (AnyStacked::Lstm(n), AnyStackedCache::Lstm(c)) => n.backward(c, grad_out, grads),
+            (AnyStacked::Gru(n), AnyStackedCache::Gru(c)) => n.backward(c, grad_out, grads),
             _ => cache_mismatch(),
         }
     }
@@ -128,7 +118,7 @@ impl AnyStacked {
     /// Batched encode of a packed timestep-major batch (see
     /// [`etsb_nn::SeqBatch`]): each sample's feature vector lands in
     /// `features` row `orig` (original batch order). Bitwise identical to
-    /// per-sample [`AnyStacked::forward_into`] calls under
+    /// per-sample [`AnyStacked::forward`] calls under
     /// [`KernelPolicy::Exact`]; epsilon-close under `FastMath`.
     pub(crate) fn forward_batch_into(
         &self,
@@ -156,7 +146,7 @@ impl AnyStacked {
     /// Batched backward from per-sample feature gradients (`grad_features`
     /// row `orig` is sample `orig`'s gradient); input gradients come back
     /// in packed layout. Bitwise identical to per-sample
-    /// [`AnyStacked::backward_into`] calls in original batch order.
+    /// [`AnyStacked::backward`] calls in original batch order.
     pub(crate) fn backward_batch_into(
         &self,
         batch: &etsb_nn::SeqBatch,
@@ -348,7 +338,7 @@ impl AnyModel {
     /// evaluation head is row-independent, so a representative's
     /// probability is identical whichever batch it is computed in.
     pub fn predict_probs(&self, data: &EncodedDataset, cells: &[usize]) -> Vec<f32> {
-        self.predict_probs_cached(data, cells, &mut crate::cache::PredictCache::disabled())
+        self.predict_probs_with(data, cells, KernelPolicy::Exact)
     }
 
     /// [`AnyModel::predict_probs`] under an explicit [`KernelPolicy`]:
@@ -370,30 +360,20 @@ impl AnyModel {
         )
     }
 
-    /// [`AnyModel::predict_probs`] with a caller-owned cross-call cache:
-    /// representatives whose key is already resident are served from
-    /// `cache` without a forward pass, and freshly computed
+    /// [`AnyModel::predict_probs_with`] with a caller-owned cross-call
+    /// cache: representatives whose key is already resident are served
+    /// from `cache` without a forward pass, and freshly computed
     /// representatives are inserted. Because a cached probability was
     /// produced by the same deterministic, row-independent evaluation
     /// path, the output is bitwise identical to an uncached call — the
     /// cache only changes how much work is done, never the bits.
     ///
     /// With [`crate::cache::PredictCache::disabled`] this is exactly the
-    /// per-call memo (no owned keys are even built).
-    pub fn predict_probs_cached(
-        &self,
-        data: &EncodedDataset,
-        cells: &[usize],
-        cache: &mut crate::cache::PredictCache,
-    ) -> Vec<f32> {
-        self.predict_probs_cached_with(data, cells, cache, KernelPolicy::Exact)
-    }
-
-    /// [`AnyModel::predict_probs_cached`] under an explicit
-    /// [`KernelPolicy`]. Cache keys do not encode the policy, so a given
-    /// `cache` must only ever be fed one policy (the serve engine pins
-    /// the policy per service instance); mixing policies on one cache
-    /// would conflate exact and fast-math bits.
+    /// per-call memo (no owned keys are even built). Cache keys do not
+    /// encode the policy, so a given `cache` must only ever be fed one
+    /// policy (the serve engine pins the policy per service instance);
+    /// mixing policies on one cache would conflate exact and fast-math
+    /// bits.
     pub fn predict_probs_cached_with(
         &self,
         data: &EncodedDataset,
@@ -471,16 +451,11 @@ impl AnyModel {
             .collect()
     }
 
-    /// The un-memoized prediction path: one forward pass per requested
-    /// cell, duplicates and all. [`AnyModel::predict_probs`] reduces to
-    /// this on the deduplicated representatives; tests compare the two
-    /// for bitwise equality.
-    pub fn predict_probs_direct(&self, data: &EncodedDataset, cells: &[usize]) -> Vec<f32> {
-        self.predict_probs_direct_with(data, cells, KernelPolicy::Exact)
-    }
-
-    /// [`AnyModel::predict_probs_direct`] under an explicit
-    /// [`KernelPolicy`].
+    /// The un-memoized prediction path under an explicit
+    /// [`KernelPolicy`]: one forward pass per requested cell, duplicates
+    /// and all. [`AnyModel::predict_probs_with`] reduces to this on the
+    /// deduplicated representatives; tests compare the two for bitwise
+    /// equality.
     pub fn predict_probs_direct_with(
         &self,
         data: &EncodedDataset,
@@ -884,7 +859,9 @@ mod tests {
         for kind in [ModelKind::Tsb, ModelKind::Etsb] {
             let model = AnyModel::new(kind, &data, &cfg, &mut seeded_rng(7));
             assert!(model.predict_probs(&data, &[]).is_empty());
-            assert!(model.predict_probs_direct(&data, &[]).is_empty());
+            assert!(model
+                .predict_probs_direct_with(&data, &[], KernelPolicy::Exact)
+                .is_empty());
             assert!(model.predict(&data, &[]).is_empty());
         }
     }
@@ -911,7 +888,7 @@ mod tests {
         for kind in [ModelKind::Tsb, ModelKind::Etsb] {
             let model = AnyModel::new(kind, &data, &cfg, &mut seeded_rng(8));
             let cells: Vec<usize> = (0..data.n_cells()).collect();
-            let probs = model.predict_probs_direct(&data, &cells);
+            let probs = model.predict_probs_direct_with(&data, &cells, KernelPolicy::Exact);
             assert_eq!(probs.len(), data.n_cells());
             assert_eq!(
                 probs[0].to_bits(),
@@ -939,8 +916,10 @@ mod tests {
             let model = AnyModel::new(kind, &data, &cfg, &mut seeded_rng(11));
             let plain = model.predict_probs(&data, &cells);
             let mut cache = PredictCache::new(1024);
-            let cold = model.predict_probs_cached(&data, &cells, &mut cache);
-            let warm = model.predict_probs_cached(&data, &cells, &mut cache);
+            let cold =
+                model.predict_probs_cached_with(&data, &cells, &mut cache, KernelPolicy::Exact);
+            let warm =
+                model.predict_probs_cached_with(&data, &cells, &mut cache, KernelPolicy::Exact);
             assert_eq!(plain, cold, "{kind:?}: cold cache changed bits");
             assert_eq!(plain, warm, "{kind:?}: warm cache changed bits");
             let stats = cache.stats();

@@ -7,7 +7,8 @@
 //! at once. Shard boundaries are a pure function of the item count, so
 //! batch composition — and therefore every float operation — is identical
 //! for any worker count, and the batched kernels themselves are bitwise
-//! identical to the per-sample workspace path (pinned by the tests below).
+//! identical to the allocating per-sample oracle (pinned by the tests
+//! below).
 
 use super::{AnyStacked, AnyStackedCache, Head};
 use crate::config::TrainConfig;
@@ -47,25 +48,6 @@ impl TsbRnn {
             rnn,
             head: Head::new(feature_dim, cfg.head_dim, rng),
         }
-    }
-
-    /// Per-sample reference encoder: kept for the bitwise-equivalence
-    /// tests, which compare the batched shard path against this exact
-    /// sequence of per-sample workspace calls.
-    #[cfg(test)]
-    fn encode_one_into(
-        &self,
-        seq: &[usize],
-        ws: &mut Workspace,
-        embedded: &mut Matrix,
-    ) -> (Vec<f32>, (etsb_nn::EmbeddingCache, AnyStackedCache)) {
-        let mut emb_cache = etsb_nn::EmbeddingCache::default();
-        self.embedding.forward_into(seq, embedded, &mut emb_cache);
-        let mut rnn_cache = self.rnn.empty_cache();
-        let mut feat = vec![0.0_f32; self.rnn.output_dim()];
-        self.rnn
-            .forward_into(embedded, &mut feat, &mut rnn_cache, ws);
-        (feat, (emb_cache, rnn_cache))
     }
 
     /// Encode one shard of cells batch-major: pack the character
@@ -109,8 +91,8 @@ impl TsbRnn {
     /// [`SeqBatch`] per deterministic fold shard, forward and backward,
     /// with per-shard gradient buffers merged in fixed shard order. The
     /// batch-coupled head (BatchNorm statistics) stays on the merged
-    /// feature matrix. Results are bitwise identical to the per-sample
-    /// workspace path for any worker count.
+    /// feature matrix. Results are bitwise identical to the allocating
+    /// per-sample oracle for any worker count.
     pub fn train_batch(
         &mut self,
         data: &EncodedDataset,
@@ -216,11 +198,6 @@ impl TsbRnn {
     /// Error probabilities (evaluation mode), batch-major: each fold shard
     /// of the requested cells packs into one [`SeqBatch`] and runs the
     /// batched forward, so inference shares the training hot path.
-    pub fn predict_probs(&self, data: &EncodedDataset, cells: &[usize]) -> Vec<f32> {
-        self.predict_probs_with(data, cells, KernelPolicy::Exact)
-    }
-
-    /// [`TsbRnn::predict_probs`] under an explicit [`KernelPolicy`]:
     /// `Exact` keeps the bitwise contract, `FastMath` runs the batched
     /// sequence encoder on the fused inference kernels.
     pub fn predict_probs_with(
@@ -298,10 +275,10 @@ mod tests {
         }
     }
 
-    /// The pre-batching training step, reproduced exactly: per-sample
-    /// forward/backward workspace calls, sharded with [`parallel::fold_shards`]
-    /// boundaries and merged in shard order. The batched `train_batch`
-    /// must match this bit for bit.
+    /// The pre-batching training step, reproduced exactly: allocating
+    /// per-sample forward/backward calls, sharded with
+    /// [`parallel::fold_shards`] boundaries and merged in shard order. The
+    /// batched `train_batch` must match this bit for bit.
     // The index drives `caches`, `grad_features` rows and the shard
     // arithmetic together; an iterator chain would obscure the replayed order.
     #[allow(clippy::needless_range_loop)]
@@ -312,15 +289,13 @@ mod tests {
         grads: &mut GradBuffer,
     ) -> f32 {
         let feat_dim = model.rnn.output_dim();
-        let mut ws = Workspace::new();
-        let mut embedded = Matrix::default();
         let mut features = Matrix::zeros(batch.len(), feat_dim);
         let mut caches = Vec::with_capacity(batch.len());
         for (row, &cell) in batch.iter().enumerate() {
-            let (feat, cache) =
-                model.encode_one_into(&data.sequences[cell], &mut ws, &mut embedded);
+            let (embedded, emb_cache) = model.embedding.forward(&data.sequences[cell]);
+            let (feat, rnn_cache) = model.rnn.forward(embedded);
             features.row_mut(row).copy_from_slice(&feat);
-            caches.push(cache);
+            caches.push((emb_cache, rnn_cache));
         }
         let labels: Vec<usize> = batch.iter().map(|&c| usize::from(data.labels[c])).collect();
         let (logits, head_cache) = model.head.forward_train(features);
@@ -339,18 +314,12 @@ mod tests {
         let mut bufs = Vec::new();
         for s in 0..shards {
             let mut acc = GradBuffer::from_shapes(seq_shapes.iter().copied());
-            let mut ws = Workspace::new();
-            let mut grad_embedded = Matrix::default();
             for i in (s * chunk).min(batch.len())..((s + 1) * chunk).min(batch.len()) {
                 let (emb_slot, rnn_slots) = acc.slots_mut().split_at_mut(1);
                 let (emb_cache, rnn_cache) = &caches[i];
-                model.rnn.backward_into(
-                    rnn_cache,
-                    grad_features.row(i),
-                    rnn_slots,
-                    &mut grad_embedded,
-                    &mut ws,
-                );
+                let grad_embedded = model
+                    .rnn
+                    .backward(rnn_cache, grad_features.row(i), rnn_slots);
                 model
                     .embedding
                     .backward(emb_cache, &grad_embedded, &mut emb_slot[0]);
@@ -371,8 +340,8 @@ mod tests {
     }
 
     /// The tentpole guarantee: the batched shard path produces the exact
-    /// same loss, gradients, and subsequent predictions as the per-sample
-    /// workspace path, on a batch with thoroughly mixed lengths.
+    /// same loss, gradients, and subsequent predictions as the allocating
+    /// per-sample oracle, on a batch with thoroughly mixed lengths.
     #[test]
     fn batched_train_matches_per_sample_reference_bitwise() {
         let data = marked_dataset(30);
@@ -394,8 +363,8 @@ mod tests {
         }
         // Predictions after one optimizer-free step must agree too (the
         // BatchNorm running statistics advanced identically).
-        let probs_b = batched.predict_probs(&data, &batch);
-        let probs_r = reference.predict_probs(&data, &batch);
+        let probs_b = batched.predict_probs_with(&data, &batch, KernelPolicy::Exact);
+        let probs_r = reference.predict_probs_with(&data, &batch, KernelPolicy::Exact);
         assert_eq!(probs_b, probs_r);
     }
 
@@ -404,7 +373,7 @@ mod tests {
         let data = marked_dataset(20);
         let model = TsbRnn::new(&data, &small_cfg(), &mut seeded_rng(1));
         let cells: Vec<usize> = (0..data.n_cells()).collect();
-        let probs = model.predict_probs(&data, &cells);
+        let probs = model.predict_probs_with(&data, &cells, KernelPolicy::Exact);
         assert_eq!(probs.len(), data.n_cells());
         assert!(probs.iter().all(|&p| (0.0..=1.0).contains(&p)));
     }

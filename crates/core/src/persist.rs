@@ -74,13 +74,6 @@ impl LoadedDetector {
         let cells: Vec<usize> = (0..data.n_cells()).collect();
         Ok(self.model.predict(&data, &cells))
     }
-
-    /// Per-cell error probabilities on a new dirty table.
-    pub fn apply_probs(&self, dirty: &Table) -> Result<Vec<f32>, TableError> {
-        let data = EncodedDataset::from_dirty_table(dirty, &self.char_index, &self.attr_index)?;
-        let cells: Vec<usize> = (0..data.n_cells()).collect();
-        Ok(self.model.predict_probs(&data, &cells))
-    }
 }
 
 fn put_string(buf: &mut BytesMut, s: &str) {
@@ -140,6 +133,75 @@ fn need(buf: &Bytes, n: usize, what: &str) -> Result<(), PersistError> {
     }
 }
 
+/// Reject header dimensions [`AnyModel::new`] cannot build from this
+/// file, before it allocates them: zero widths, and any parameter matrix
+/// of the declared model kind that could not fit in the `w_len`-byte
+/// weight payload on its own (4 bytes per float). The allocation a
+/// header can request is thereby bounded by the file's own size;
+/// [`AnyModel::restore`] still rejects every exact shape mismatch.
+fn check_dims(
+    kind: ModelKind,
+    train: &TrainConfig,
+    vocab: usize,
+    n_attrs: usize,
+    w_len: usize,
+) -> Result<(), PersistError> {
+    let mut dims = vec![("rnn_units", train.rnn_units), ("head_dim", train.head_dim)];
+    if let Some(embed) = train.embed_dim {
+        dims.push(("embed_dim", embed));
+    }
+    if kind == ModelKind::Etsb {
+        dims.push(("attr_rnn_units", train.attr_rnn_units));
+        dims.push(("length_dense_dim", train.length_dense_dim));
+    }
+    if let Some((what, _)) = dims.iter().find(|(_, d)| *d == 0) {
+        return Err(PersistError::Malformed(format!("zero {what}")));
+    }
+
+    let gates = match train.cell {
+        CellKind::Vanilla => 1,
+        CellKind::Lstm => 4,
+        CellKind::Gru => 3,
+    };
+    let to_u128 = |d: usize| d as u128;
+    let embed = to_u128(train.embed_dim.unwrap_or(vocab));
+    let (h, head) = (to_u128(train.rnn_units), to_u128(train.head_dim));
+    // One real parameter matrix per way a header field grows the model:
+    // the embedding table, each recurrent stack's first- and
+    // second-layer input weights (the latter, `2h x gates·h`, dominates
+    // every recurrent `wh`, `h x gates·h`) and the head's first dense
+    // layer.
+    let mut shapes = vec![
+        ("embedding", to_u128(vocab), embed),
+        ("rnn layer-1 input weights", embed, gates * h),
+        ("rnn layer-2 input weights", 2 * h, gates * h),
+    ];
+    let mut head_in = 2 * h;
+    if kind == ModelKind::Etsb {
+        let attrs = to_u128(n_attrs.max(1));
+        let (ha, len) = (
+            to_u128(train.attr_rnn_units),
+            to_u128(train.length_dense_dim),
+        );
+        shapes.extend([
+            ("attribute embedding", attrs, attrs),
+            ("attribute rnn layer-1 input weights", attrs, gates * ha),
+            ("attribute rnn layer-2 input weights", 2 * ha, gates * ha),
+            ("length dense", 1, len),
+        ]);
+        head_in += 2 * ha + len;
+    }
+    shapes.push(("head dense", head_in, head));
+    for (what, rows, cols) in shapes {
+        if rows * cols * 4 > to_u128(w_len) {
+            return Err(PersistError::Malformed(format!(
+                "{what} ({rows}x{cols}) does not fit in {w_len} weight bytes"
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Load a detector produced by [`save_detector`].
 pub fn load_detector(bytes: &[u8]) -> Result<LoadedDetector, PersistError> {
     let mut buf = Bytes::copy_from_slice(bytes);
@@ -183,7 +245,7 @@ pub fn load_detector(bytes: &[u8]) -> Result<LoadedDetector, PersistError> {
 
     need(&buf, 4, "char count")?;
     let n_chars = buf.get_u32_le() as usize;
-    need(&buf, n_chars * 4, "char table")?;
+    need(&buf, n_chars.saturating_mul(4), "char table")?;
     let mut entries = Vec::with_capacity(n_chars);
     for i in 0..n_chars {
         let cp = buf.get_u32_le();
@@ -195,6 +257,9 @@ pub fn load_detector(bytes: &[u8]) -> Result<LoadedDetector, PersistError> {
 
     need(&buf, 4, "attr count")?;
     let n_attrs = buf.get_u32_le() as usize;
+    // Every name carries a 4-byte length, so the count is bounded by
+    // the bytes left before anything is reserved for it.
+    need(&buf, n_attrs.saturating_mul(4), "attr names")?;
     let mut names = Vec::with_capacity(n_attrs);
     for _ in 0..n_attrs {
         need(&buf, 4, "attr name length")?;
@@ -212,6 +277,13 @@ pub fn load_detector(bytes: &[u8]) -> Result<LoadedDetector, PersistError> {
     let w_len = buf.get_u64_le() as usize;
     need(&buf, w_len, "weights")?;
     let weights = buf.copy_to_bytes(w_len);
+    check_dims(
+        kind,
+        &train,
+        char_index.vocab_size(),
+        attr_index.len(),
+        w_len,
+    )?;
 
     // Build a model of the right shape, then restore the weights. The
     // RNG seed is irrelevant: every weight is overwritten.
@@ -291,13 +363,66 @@ mod tests {
         let loaded = load_detector(&saved).unwrap();
         let empty = etsb_table::Table::with_columns(&["v", "w"]);
         assert!(loaded.apply(&empty).unwrap().is_empty());
-        assert!(loaded.apply_probs(&empty).unwrap().is_empty());
     }
 
     #[test]
     fn bad_magic_rejected() {
         assert!(matches!(
             load_detector(b"NOTADETECTOR"),
+            Err(PersistError::Malformed(_))
+        ));
+    }
+
+    /// A hand-crafted TSB header (vanilla cell, no embedding override)
+    /// declaring `rnn_units`, followed by an empty value dictionary.
+    fn crafted_header(rnn_units: u32) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.put_slice(MAGIC);
+        buf.put_u8(0);
+        buf.put_u8(0);
+        for dim in [rnn_units, 8, 32, 64] {
+            buf.put_u32_le(dim);
+        }
+        buf.put_u8(0);
+        buf.put_u32_le(0);
+        buf.put_u32_le(0);
+        buf
+    }
+
+    /// `crafted_header` completed with no attributes and an empty weight
+    /// payload: 47 bytes.
+    fn crafted_file(rnn_units: u32) -> Vec<u8> {
+        let mut buf = crafted_header(rnn_units);
+        buf.put_u32_le(0);
+        buf.put_u64_le(0);
+        buf
+    }
+
+    #[test]
+    fn oversized_units_are_rejected_before_allocating() {
+        let file = crafted_file(65_536);
+        assert_eq!(file.len(), 47);
+        assert!(matches!(
+            load_detector(&file),
+            Err(PersistError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn attr_count_beyond_the_file_is_rejected() {
+        let mut file = crafted_header(64);
+        file.put_u32_le(u32::MAX);
+        assert_eq!(file.len(), 39);
+        assert!(matches!(
+            load_detector(&file),
+            Err(PersistError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn zero_units_are_rejected() {
+        assert!(matches!(
+            load_detector(&crafted_file(0)),
             Err(PersistError::Malformed(_))
         ));
     }

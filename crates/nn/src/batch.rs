@@ -1,10 +1,10 @@
 //! Packed timestep-major batch layout for batched sequence execution.
 //!
-//! The per-sample hot path walks one sequence at a time, so every
-//! timestep is a matvec against the recurrent weights. Batch-major
-//! execution packs `B` samples into a single matrix, one *timestep
-//! block* after another, and runs each timestep of the whole batch as a
-//! matmul instead:
+//! The allocating per-sample oracle (`Recurrence::forward_seq`) walks
+//! one sequence at a time, so every timestep is a vecmat against the
+//! recurrent weights. Batch-major execution packs `B` samples into a
+//! single matrix, one *timestep block* after another, and runs each
+//! timestep of the whole batch as a matmul instead:
 //!
 //! ```text
 //! row(s, t) = offsets[t] + s      for slot s < active[t]
@@ -20,11 +20,10 @@
 //! gradients.
 //!
 //! Bitwise determinism: every row of a batched matmul reduces in exactly
-//! the same order as the per-sample matvec (`Matrix::accumulate_rows` is
+//! the same order as the per-step vecmat (`Matrix::accumulate_rows` is
 //! the single reduction kernel behind both), and weight gradients are
 //! replayed per sample in original batch order, so the batched path is
-//! bitwise identical to running the per-sample workspace path sample by
-//! sample.
+//! bitwise identical to running the allocating oracle sample by sample.
 
 use crate::rnn::split_cell_grads;
 use etsb_tensor::{Matrix, Workspace};
@@ -198,7 +197,7 @@ fn gather_sample(batch: &SeqBatch, slot: usize, packed: &Matrix, out: &mut Matri
 
 /// Replay the weight/bias gradient accumulation of a batched backward
 /// pass **per sample in original batch order**, reproducing the exact
-/// floating-point op order of the per-sample workspace path.
+/// floating-point op order of the allocating per-sample backward.
 ///
 /// `grads` holds the cell's three slots `(wx, wh, b)`. `dzx_packed`
 /// feeds the input-weight and bias gradients, `dzh_packed` the

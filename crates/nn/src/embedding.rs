@@ -65,34 +65,6 @@ impl Embedding {
         (out, EmbeddingCache { ids: ids.to_vec() })
     }
 
-    /// Look up `ids` into a preallocated matrix (reshaped in place) — the
-    /// allocation-free inference path. Bitwise identical to
-    /// [`Embedding::forward`]'s output.
-    ///
-    /// # Panics
-    /// If any id is out of vocabulary.
-    pub fn lookup_into(&self, ids: &[usize], out: &mut Matrix) {
-        let dim = self.dim();
-        let vocab = self.vocab_size();
-        out.resize_zeroed(ids.len(), dim);
-        for (row, &id) in ids.iter().enumerate() {
-            assert!(
-                id < vocab,
-                "Embedding: id {id} out of vocabulary (size {vocab})"
-            );
-            out.row_mut(row).copy_from_slice(self.weights.value.row(id));
-        }
-    }
-
-    /// Allocation-free training forward: looks up into `out` and rebuilds
-    /// `cache` in place (its id buffer is recycled across samples).
-    // etsb: allow(into-shape-assert) -- thin delegation; lookup_into resizes `out` and asserts ids.
-    pub fn forward_into(&self, ids: &[usize], out: &mut Matrix, cache: &mut EmbeddingCache) {
-        self.lookup_into(ids, out);
-        cache.ids.clear();
-        cache.ids.extend_from_slice(ids);
-    }
-
     /// Accumulate gradients for the rows selected in the cached forward
     /// pass into `grad` (a `vocab_size x dim` slot). `grad_out` must be
     /// `len(ids) x dim`.
@@ -117,7 +89,7 @@ impl Embedding {
     /// the embedding of step `t` of the sample in that slot. `seqs` is in
     /// **original** sample order (`seqs[orig]`), exactly as passed to
     /// [`SeqBatch::from_lengths`]. Pure row copies, so the packed rows are
-    /// bitwise identical to per-sample [`Embedding::lookup_into`] output.
+    /// bitwise identical to per-sample [`Embedding::forward`] output.
     ///
     /// A zero-length sequence is accepted when its slot holds one
     /// timestep (the [`SeqBatch::from_lengths_clamped`] layout): the

@@ -173,8 +173,7 @@ impl Recurrence for GruCell {
             etsb_tensor::add_assign(&mut dh_carry, &dh_prev_direct);
         }
         // Weight gradients batched over the whole sequence: bitwise
-        // identical to ascending per-step `add_outer` calls (and therefore
-        // to `backward_seq_into`, which uses the same kernels).
+        // identical to ascending per-step `add_outer` calls.
         let mut col = Vec::new();
         gwx.add_transposed_matmul(&cache.inputs, 0, &dzx_all, 0, t_max, &mut col);
         if t_max > 1 {
@@ -183,124 +182,8 @@ impl Recurrence for GruCell {
         dzx_all.matmul(&self.wx.value.transpose())
     }
 
-    fn forward_seq_into(&self, inputs: &Matrix, cache: &mut GruCache, ws: &mut Workspace) {
-        let t_max = inputs.rows();
-        assert!(t_max > 0, "GruCell::forward_seq: empty sequence");
-        assert_eq!(
-            inputs.cols(),
-            self.input_dim(),
-            "GruCell: input width mismatch"
-        );
-        let h = self.hidden;
-        cache.inputs.copy_from(inputs);
-        cache.gates.resize_zeroed(t_max, 3 * h);
-        cache.hn.resize_zeroed(t_max, h);
-        cache.hidden.resize_zeroed(t_max, h);
-        let mut zx_all = ws.take_mat("gru.zx_all", 0, 0);
-        inputs.matmul_into(&self.wx.value, &mut zx_all);
-        let mut zh = ws.take_vec("gru.zh", 3 * h);
-        let mut h_prev = ws.take_vec("gru.h_prev", h);
-        for t in 0..t_max {
-            self.wh.value.vecmat_into(&h_prev, &mut zh);
-            let zx = zx_all.row(t);
-            let b = self.b.value.row(0);
-            let g_row = cache.gates.row_mut(t);
-            let hn_row = cache.hn.row_mut(t);
-            for j in 0..h {
-                g_row[j] = sigmoid(zx[j] + zh[j] + b[j]); // z
-                g_row[h + j] = sigmoid(zx[h + j] + zh[h + j] + b[h + j]); // r
-                hn_row[j] = zh[2 * h + j];
-            }
-            for j in 0..h {
-                g_row[2 * h + j] = zx[2 * h + j] + g_row[h + j] * hn_row[j] + b[2 * h + j];
-            }
-            tanh_exact(&mut g_row[2 * h..3 * h]);
-            let h_row = cache.hidden.row_mut(t);
-            let g_row = cache.gates.row(t);
-            for j in 0..h {
-                let z = g_row[j];
-                h_row[j] = (1.0 - z) * g_row[2 * h + j] + z * h_prev[j];
-            }
-            h_prev.copy_from_slice(h_row);
-        }
-        ws.put_vec("gru.h_prev", h_prev);
-        ws.put_vec("gru.zh", zh);
-        ws.put_mat("gru.zx_all", zx_all);
-    }
-
     fn seq_output(cache: &GruCache) -> &Matrix {
         &cache.hidden
-    }
-
-    fn backward_seq_into(
-        &self,
-        cache: &GruCache,
-        grad_out: &Matrix,
-        grads: &mut [Matrix],
-        grad_inputs: &mut Matrix,
-        ws: &mut Workspace,
-    ) {
-        let t_max = cache.hidden.rows();
-        let h = self.hidden;
-        assert_eq!(
-            grad_out.shape(),
-            (t_max, h),
-            "GruCell::backward_seq_into: grad shape"
-        );
-        let (gwx, gwh, gb) = split_cell_grads(grads, "GruCell::backward_seq_into");
-        let mut dzx_all = ws.take_mat("gru.dzx_all", t_max, 3 * h);
-        let mut dzh_all = ws.take_mat("gru.dzh_all", t_max, 3 * h);
-        let mut wht = ws.take_mat("gru.wht", 0, 0);
-        self.wh.value.transpose_into(&mut wht);
-        let mut dh_carry = ws.take_vec("gru.dh_carry", h);
-        let mut dh_prev_direct = ws.take_vec("gru.dh_prev_direct", h);
-        let zero = ws.take_vec("gru.zero", h);
-        for t in (0..t_max).rev() {
-            let gates = cache.gates.row(t);
-            let hn = cache.hn.row(t);
-            let h_prev: &[f32] = if t > 0 {
-                cache.hidden.row(t - 1)
-            } else {
-                &zero
-            };
-            let dz_x = dzx_all.row_mut(t);
-            let dz_h = dzh_all.row_mut(t);
-            for j in 0..h {
-                let (z, r, n) = (gates[j], gates[h + j], gates[2 * h + j]);
-                let dh = grad_out.row(t)[j] + dh_carry[j];
-                let dz_gate = dh * (h_prev[j] - n) * z * (1.0 - z);
-                let dn = dh * (1.0 - z) * (1.0 - n * n);
-                let dr = dn * hn[j] * r * (1.0 - r);
-                dz_x[j] = dz_gate;
-                dz_x[h + j] = dr;
-                dz_x[2 * h + j] = dn;
-                dz_h[j] = dz_gate;
-                dz_h[h + j] = dr;
-                dz_h[2 * h + j] = dn * r;
-                dh_prev_direct[j] = dh * z;
-            }
-            etsb_tensor::add_assign(gb.row_mut(0), dzx_all.row(t));
-            wht.vecmat_into(dzh_all.row(t), &mut dh_carry);
-            etsb_tensor::add_assign(&mut dh_carry, &dh_prev_direct);
-        }
-        // Weight gradients batched over the whole sequence: bitwise
-        // identical to ascending per-step `add_outer` calls.
-        let mut col = ws.take_vec("gru.col", 0);
-        gwx.add_transposed_matmul(&cache.inputs, 0, &dzx_all, 0, t_max, &mut col);
-        if t_max > 1 {
-            gwh.add_transposed_matmul(&cache.hidden, 0, &dzh_all, 1, t_max - 1, &mut col);
-        }
-        let mut wxt = ws.take_mat("gru.wxt", 0, 0);
-        self.wx.value.transpose_into(&mut wxt);
-        dzx_all.matmul_into(&wxt, grad_inputs);
-        ws.put_mat("gru.wxt", wxt);
-        ws.put_mat("gru.wht", wht);
-        ws.put_vec("gru.col", col);
-        ws.put_vec("gru.zero", zero);
-        ws.put_vec("gru.dh_prev_direct", dh_prev_direct);
-        ws.put_vec("gru.dh_carry", dh_carry);
-        ws.put_mat("gru.dzh_all", dzh_all);
-        ws.put_mat("gru.dzx_all", dzx_all);
     }
 
     fn forward_batch_into(

@@ -174,8 +174,7 @@ impl Recurrence for LstmCell {
             dh_carry = wht.vecmat(dz_all.row(t));
         }
         // Weight gradients batched over the whole sequence: bitwise
-        // identical to ascending per-step `add_outer` calls (and therefore
-        // to `backward_seq_into`, which uses the same kernels).
+        // identical to ascending per-step `add_outer` calls.
         let mut col = Vec::new();
         gwx.add_transposed_matmul(&cache.inputs, 0, &dz_all, 0, t_max, &mut col);
         if t_max > 1 {
@@ -184,128 +183,8 @@ impl Recurrence for LstmCell {
         dz_all.matmul(&self.wx.value.transpose())
     }
 
-    fn forward_seq_into(&self, inputs: &Matrix, cache: &mut LstmCache, ws: &mut Workspace) {
-        let t_max = inputs.rows();
-        assert!(t_max > 0, "LstmCell::forward_seq: empty sequence");
-        assert_eq!(
-            inputs.cols(),
-            self.input_dim(),
-            "LstmCell: input width mismatch"
-        );
-        let h = self.hidden;
-        cache.inputs.copy_from(inputs);
-        cache.gates.resize_zeroed(t_max, 4 * h);
-        cache.cells.resize_zeroed(t_max, h);
-        cache.tanh_cells.resize_zeroed(t_max, h);
-        cache.hidden.resize_zeroed(t_max, h);
-        let mut z_all = ws.take_mat("lstm.z_all", 0, 0);
-        inputs.matmul_into(&self.wx.value, &mut z_all);
-        let mut rec = ws.take_vec("lstm.rec", 4 * h);
-        let mut h_prev = ws.take_vec("lstm.h_prev", h);
-        let mut c_prev = ws.take_vec("lstm.c_prev", h);
-        for t in 0..t_max {
-            self.wh.value.vecmat_into(&h_prev, &mut rec);
-            let z = z_all.row_mut(t);
-            for ((zi, &ri), &bi) in z.iter_mut().zip(&rec).zip(self.b.value.row(0)) {
-                *zi += ri + bi;
-            }
-            let z = z_all.row(t);
-            let g_row = cache.gates.row_mut(t);
-            for j in 0..h {
-                g_row[j] = sigmoid(z[j]); // i
-                g_row[h + j] = sigmoid(z[h + j]); // f
-                g_row[2 * h + j] = z[2 * h + j]; // g, tanh below
-                g_row[3 * h + j] = sigmoid(z[3 * h + j]); // o
-            }
-            tanh_exact(&mut g_row[2 * h..3 * h]);
-            let c_row = cache.cells.row_mut(t);
-            let g_row = cache.gates.row(t);
-            for j in 0..h {
-                c_row[j] = g_row[h + j] * c_prev[j] + g_row[j] * g_row[2 * h + j];
-            }
-            let c_row = cache.cells.row(t);
-            let tc_row = cache.tanh_cells.row_mut(t);
-            tc_row.copy_from_slice(c_row);
-            tanh_exact(tc_row);
-            let tc_row = cache.tanh_cells.row(t);
-            let h_row = cache.hidden.row_mut(t);
-            for j in 0..h {
-                h_row[j] = g_row[3 * h + j] * tc_row[j];
-            }
-            h_prev.copy_from_slice(h_row);
-            c_prev.copy_from_slice(c_row);
-        }
-        ws.put_vec("lstm.c_prev", c_prev);
-        ws.put_vec("lstm.h_prev", h_prev);
-        ws.put_vec("lstm.rec", rec);
-        ws.put_mat("lstm.z_all", z_all);
-    }
-
     fn seq_output(cache: &LstmCache) -> &Matrix {
         &cache.hidden
-    }
-
-    fn backward_seq_into(
-        &self,
-        cache: &LstmCache,
-        grad_out: &Matrix,
-        grads: &mut [Matrix],
-        grad_inputs: &mut Matrix,
-        ws: &mut Workspace,
-    ) {
-        let t_max = cache.hidden.rows();
-        let h = self.hidden;
-        assert_eq!(
-            grad_out.shape(),
-            (t_max, h),
-            "LstmCell::backward_seq_into: grad shape"
-        );
-        let (gwx, gwh, gb) = split_cell_grads(grads, "LstmCell::backward_seq_into");
-        let mut dz_all = ws.take_mat("lstm.dz_all", t_max, 4 * h);
-        let mut wht = ws.take_mat("lstm.wht", 0, 0);
-        self.wh.value.transpose_into(&mut wht);
-        let mut dh_carry = ws.take_vec("lstm.dh_carry", h);
-        let mut dc_carry = ws.take_vec("lstm.dc_carry", h);
-        for t in (0..t_max).rev() {
-            let gates = cache.gates.row(t);
-            let tc = cache.tanh_cells.row(t);
-            let dz = dz_all.row_mut(t);
-            for j in 0..h {
-                let (i, f, g, o) = (gates[j], gates[h + j], gates[2 * h + j], gates[3 * h + j]);
-                let dh = grad_out.row(t)[j] + dh_carry[j];
-                let do_ = dh * tc[j];
-                let dc = dh * o * (1.0 - tc[j] * tc[j]) + dc_carry[j];
-                let c_prev = if t > 0 {
-                    cache.cells.row(t - 1)[j]
-                } else {
-                    0.0
-                };
-                dz[j] = dc * g * i * (1.0 - i); // input gate
-                dz[h + j] = dc * c_prev * f * (1.0 - f); // forget gate
-                dz[2 * h + j] = dc * i * (1.0 - g * g); // candidate
-                dz[3 * h + j] = do_ * o * (1.0 - o); // output gate
-                dc_carry[j] = dc * f;
-            }
-            let dz = dz_all.row(t);
-            etsb_tensor::add_assign(gb.row_mut(0), dz);
-            wht.vecmat_into(dz, &mut dh_carry);
-        }
-        // Weight gradients batched over the whole sequence: bitwise
-        // identical to ascending per-step `add_outer` calls.
-        let mut col = ws.take_vec("lstm.col", 0);
-        gwx.add_transposed_matmul(&cache.inputs, 0, &dz_all, 0, t_max, &mut col);
-        if t_max > 1 {
-            gwh.add_transposed_matmul(&cache.hidden, 0, &dz_all, 1, t_max - 1, &mut col);
-        }
-        let mut wxt = ws.take_mat("lstm.wxt", 0, 0);
-        self.wx.value.transpose_into(&mut wxt);
-        dz_all.matmul_into(&wxt, grad_inputs);
-        ws.put_mat("lstm.wxt", wxt);
-        ws.put_mat("lstm.wht", wht);
-        ws.put_vec("lstm.col", col);
-        ws.put_vec("lstm.dc_carry", dc_carry);
-        ws.put_vec("lstm.dh_carry", dh_carry);
-        ws.put_mat("lstm.dz_all", dz_all);
     }
 
     fn forward_batch_into(
@@ -454,7 +333,7 @@ impl Recurrence for LstmCell {
             }
         }
         // Replay weight/bias gradients per sample in original batch order;
-        // bitwise identical to the per-sample `backward_seq_into` calls.
+        // bitwise identical to the per-sample `backward_seq` calls.
         accumulate_seq_grads(
             batch,
             &cache.inputs,

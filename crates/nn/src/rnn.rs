@@ -43,8 +43,9 @@ pub(crate) fn split_cell_grads<'g>(
 /// [`crate::GruCell`] (the heavier alternatives §2 argues against).
 pub trait Recurrence: Clone {
     /// Cache produced by `forward`, consumed by `backward`. `Default`
-    /// yields an empty cache that `forward_seq_into` rebuilds in place,
-    /// so one cache allocation serves any number of samples.
+    /// yields an empty cache that [`Recurrence::forward_batch_into`]
+    /// rebuilds in place, so one cache allocation serves any number of
+    /// batches.
     type Cache: Clone + std::fmt::Debug + Default;
 
     /// Construct a cell with freshly initialized weights.
@@ -65,26 +66,9 @@ pub trait Recurrence: Clone {
     /// [`Recurrence::params`] order) + input gradients out.
     fn backward_seq(&self, cache: &Self::Cache, grad_out: &Matrix, grads: &mut [Matrix]) -> Matrix;
 
-    /// Allocation-free forward: rebuild `cache` in place from `inputs`,
-    /// borrowing every scratch buffer from `ws`. Bitwise identical to
-    /// [`Recurrence::forward_seq`]; the output sequence is readable via
-    /// [`Recurrence::seq_output`].
-    fn forward_seq_into(&self, inputs: &Matrix, cache: &mut Self::Cache, ws: &mut Workspace);
-
-    /// The `T x hidden` output sequence a `forward_seq_into` left in `cache`.
+    /// The output sequence a [`Recurrence::forward_batch_into`] left in
+    /// `cache` (packed rows, `hidden` wide).
     fn seq_output(cache: &Self::Cache) -> &Matrix;
-
-    /// Allocation-free BPTT companion of [`Recurrence::backward_seq`]:
-    /// input gradients are written into `grad_inputs` (reshaped in place)
-    /// instead of returned. Bitwise identical to `backward_seq`.
-    fn backward_seq_into(
-        &self,
-        cache: &Self::Cache,
-        grad_out: &Matrix,
-        grads: &mut [Matrix],
-        grad_inputs: &mut Matrix,
-        ws: &mut Workspace,
-    );
 
     /// Batched forward over a packed timestep-major batch (see
     /// [`SeqBatch`]): `packed` holds `batch.total_rows() x input_dim`
@@ -92,7 +76,7 @@ pub trait Recurrence: Clone {
     /// with the same packed-row semantics ([`Recurrence::seq_output`]
     /// returns the packed hidden sequence). Under
     /// [`KernelPolicy::Exact`] every sample's rows are bitwise identical
-    /// to running [`Recurrence::forward_seq_into`] on that sample alone;
+    /// to running [`Recurrence::forward_seq`] on that sample alone;
     /// [`KernelPolicy::FastMath`] routes the dense window products
     /// through the fused inference kernels (epsilon-close, still
     /// deterministic for a fixed backend).
@@ -109,7 +93,7 @@ pub trait Recurrence: Clone {
     /// `grad_out` and `grad_inputs` use the packed layout, and parameter
     /// gradients are replayed per sample in original batch order, so the
     /// accumulated `grads` are bitwise identical to per-sample
-    /// [`Recurrence::backward_seq_into`] calls in that order.
+    /// [`Recurrence::backward_seq`] calls in that order.
     fn backward_batch_into(
         &self,
         batch: &SeqBatch,
@@ -209,109 +193,11 @@ impl RnnCell {
         RnnCache { inputs, hidden }
     }
 
-    /// Allocation-free forward: rebuilds `cache` in place, borrowing all
-    /// scratch from `ws`. The input projection for every step is one
-    /// batched matmul (whose rows are bitwise identical to the per-step
-    /// `vecmat` — see `Matrix::accumulate_rows`), so only the recurrent
-    /// product remains per-step. Bitwise identical to [`RnnCell::forward`].
-    pub fn forward_into(&self, inputs: &Matrix, cache: &mut RnnCache, ws: &mut Workspace) {
-        let t_max = inputs.rows();
-        assert!(t_max > 0, "RnnCell::forward: empty sequence");
-        assert_eq!(
-            inputs.cols(),
-            self.input_dim(),
-            "RnnCell::forward: input width {} != cell input dim {}",
-            inputs.cols(),
-            self.input_dim()
-        );
-        let h = self.hidden_dim();
-        cache.inputs.copy_from(inputs);
-        cache.hidden.resize_zeroed(t_max, h);
-        let mut z_all = ws.take_mat("rnn.z_all", 0, 0);
-        inputs.matmul_into(&self.wx.value, &mut z_all);
-        let mut rec = ws.take_vec("rnn.rec", h);
-        let mut prev = ws.take_vec("rnn.prev", h);
-        let b = self.b.value.row(0);
-        for t in 0..t_max {
-            self.wh.value.vecmat_into(&prev, &mut rec);
-            let h_row = cache.hidden.row_mut(t);
-            for (((hj, &zj), &rj), &bj) in h_row.iter_mut().zip(z_all.row(t)).zip(&rec).zip(b) {
-                *hj = zj + rj + bj;
-            }
-            tanh_exact(h_row);
-            prev.copy_from_slice(h_row);
-        }
-        ws.put_vec("rnn.prev", prev);
-        ws.put_vec("rnn.rec", rec);
-        ws.put_mat("rnn.z_all", z_all);
-    }
-
-    /// Allocation-free BPTT: bitwise identical to [`RnnCell::backward`],
-    /// with `grad_inputs` written in place. The per-step `dz` rows are
-    /// staged in one scratch matrix so the input gradient becomes a single
-    /// batched transposed matmul (`dot` is argument-symmetric, so its rows
-    /// match the per-step `matvec` exactly).
-    pub fn backward_into(
-        &self,
-        cache: &RnnCache,
-        grad_hidden: &Matrix,
-        grads: &mut [Matrix],
-        grad_inputs: &mut Matrix,
-        ws: &mut Workspace,
-    ) {
-        let t_max = cache.hidden.rows();
-        let h = self.hidden_dim();
-        assert_eq!(
-            grad_hidden.shape(),
-            (t_max, h),
-            "RnnCell::backward_into: grad shape {:?} != {:?}",
-            grad_hidden.shape(),
-            (t_max, h)
-        );
-        let (gwx, gwh, gb) = split_cell_grads(grads, "RnnCell::backward_into");
-        let mut dz_all = ws.take_mat("rnn.dz_all", t_max, h);
-        let mut carry = ws.take_vec("rnn.carry", h);
-        // Transposing the (small) weights once turns every remaining
-        // product into a row-streaming `accumulate_rows` sweep.
-        let mut wht = ws.take_mat("rnn.wht", 0, 0);
-        self.wh.value.transpose_into(&mut wht);
-        for t in (0..t_max).rev() {
-            let h_t = cache.hidden.row(t);
-            let dz_row = dz_all.row_mut(t);
-            for (((dzj, &g), &c), &ht) in dz_row
-                .iter_mut()
-                .zip(grad_hidden.row(t))
-                .zip(&carry)
-                .zip(h_t)
-            {
-                *dzj = (g + c) * (1.0 - ht * ht);
-            }
-            let dz = dz_all.row(t);
-            etsb_tensor::add_assign(gb.row_mut(0), dz);
-            wht.vecmat_into(dz, &mut carry);
-        }
-        // Weight gradients batched over the whole sequence: bitwise
-        // identical to ascending per-step `add_outer` calls.
-        let mut col = ws.take_vec("rnn.col", 0);
-        gwx.add_transposed_matmul(&cache.inputs, 0, &dz_all, 0, t_max, &mut col);
-        if t_max > 1 {
-            gwh.add_transposed_matmul(&cache.hidden, 0, &dz_all, 1, t_max - 1, &mut col);
-        }
-        let mut wxt = ws.take_mat("rnn.wxt", 0, 0);
-        self.wx.value.transpose_into(&mut wxt);
-        dz_all.matmul_into(&wxt, grad_inputs);
-        ws.put_mat("rnn.wxt", wxt);
-        ws.put_mat("rnn.wht", wht);
-        ws.put_vec("rnn.col", col);
-        ws.put_vec("rnn.carry", carry);
-        ws.put_mat("rnn.dz_all", dz_all);
-    }
-
     /// Batched forward over a packed timestep-major batch: the per-step
     /// recurrent product becomes one `active x hidden` windowed matmul
     /// whose rows reduce exactly like the per-sample `vecmat`, so each
     /// sample's hidden sequence is bitwise identical to
-    /// [`RnnCell::forward_into`] on that sample alone (under
+    /// [`RnnCell::forward`] on that sample alone (under
     /// [`KernelPolicy::Exact`]; `FastMath` is epsilon-close).
     pub fn forward_batch_into(
         &self,
@@ -375,7 +261,7 @@ impl RnnCell {
     }
 
     /// Batched BPTT over a packed batch, bitwise identical to per-sample
-    /// [`RnnCell::backward_into`] calls in original batch order: the
+    /// [`RnnCell::backward`] calls in original batch order: the
     /// carry matrix shrinks with the active batch (samples retiring after
     /// step `t` read the same all-zero carry a fresh per-sample backward
     /// starts from), and weight/bias gradients are replayed per sample.
@@ -479,8 +365,7 @@ impl RnnCell {
             carry = wht.vecmat(dz);
         }
         // Weight gradients batched over the whole sequence: bitwise
-        // identical to ascending per-step `add_outer` calls (and therefore
-        // to `backward_into`, which uses the same kernels).
+        // identical to ascending per-step `add_outer` calls.
         let mut col = Vec::new();
         gwx.add_transposed_matmul(&cache.inputs, 0, &dz_all, 0, t_max, &mut col);
         if t_max > 1 {
@@ -524,24 +409,8 @@ impl Recurrence for RnnCell {
         self.backward(cache, grad_out, grads)
     }
 
-    fn forward_seq_into(&self, inputs: &Matrix, cache: &mut RnnCache, ws: &mut Workspace) {
-        self.forward_into(inputs, cache, ws);
-    }
-
     fn seq_output(cache: &RnnCache) -> &Matrix {
         &cache.hidden
-    }
-
-    // etsb: allow(shape-assert) -- thin delegation; backward_into asserts every shape.
-    fn backward_seq_into(
-        &self,
-        cache: &RnnCache,
-        grad_out: &Matrix,
-        grads: &mut [Matrix],
-        grad_inputs: &mut Matrix,
-        ws: &mut Workspace,
-    ) {
-        self.backward_into(cache, grad_out, grads, grad_inputs, ws);
     }
 
     // etsb: allow(shape-assert) -- thin delegation; forward_batch_into asserts every shape.
@@ -582,18 +451,10 @@ impl Recurrence for RnnCell {
 fn reverse_rows(m: &Matrix) -> Matrix {
     let (rows, cols) = m.shape();
     let mut out = Matrix::zeros(rows, cols);
-    reverse_rows_into(m, &mut out);
-    out
-}
-
-/// Time reversal into a preallocated matrix (reshaped in place).
-// etsb: allow(shape-assert) -- `out` is a reshaped sink; there is no shape precondition.
-fn reverse_rows_into(m: &Matrix, out: &mut Matrix) {
-    let rows = m.rows();
-    out.resize_zeroed(rows, m.cols());
     for r in 0..rows {
         out.row_mut(rows - 1 - r).copy_from_slice(m.row(r));
     }
+    out
 }
 
 /// A bidirectional recurrent layer: one forward cell, one backward cell,
@@ -666,41 +527,6 @@ impl<C: Recurrence> BiRnn<C> {
         (out, BiRnnCache { fwd, bwd, seq_len })
     }
 
-    /// Allocation-free forward: both directions run through the cells'
-    /// `forward_seq_into`, the concatenated output lands in `out`
-    /// (reshaped in place). Bitwise identical to [`BiRnn::forward`].
-    pub fn forward_into(
-        &self,
-        inputs: &Matrix,
-        out: &mut Matrix,
-        cache: &mut BiRnnCache<C>,
-        ws: &mut Workspace,
-    ) {
-        let seq_len = inputs.rows();
-        assert_eq!(
-            inputs.cols(),
-            self.fwd.input_dim(),
-            "BiRnn::forward_into: input width {} != {}",
-            inputs.cols(),
-            self.fwd.input_dim()
-        );
-        let mut reversed = ws.take_mat("birnn.reversed", 0, 0);
-        reverse_rows_into(inputs, &mut reversed);
-        self.fwd.forward_seq_into(inputs, &mut cache.fwd, ws);
-        self.bwd.forward_seq_into(&reversed, &mut cache.bwd, ws);
-        cache.seq_len = seq_len;
-        let h = self.hidden_dim();
-        out.resize_zeroed(seq_len, 2 * h);
-        let out_fwd = C::seq_output(&cache.fwd);
-        let out_bwd = C::seq_output(&cache.bwd);
-        for t in 0..seq_len {
-            out.row_mut(t)[..h].copy_from_slice(out_fwd.row(t));
-            out.row_mut(t)[h..].copy_from_slice(out_bwd.row(seq_len - 1 - t));
-        }
-        out.assert_finite("birnn", "forward(recurrent-activation)");
-        ws.put_mat("birnn.reversed", reversed);
-    }
-
     /// Backward through both directions; `grad_out` is `T x 2·hidden` in
     /// output layout, `grads` holds one slot per parameter in [`BiRnn::params`]
     /// order (fwd cell then bwd cell). Returns `T x input_dim` input
@@ -744,61 +570,11 @@ impl<C: Recurrence> BiRnn<C> {
         grad_inputs
     }
 
-    /// Allocation-free backward: bitwise identical to [`BiRnn::backward`],
-    /// with the input gradient written into `grad_inputs`.
-    pub fn backward_into(
-        &self,
-        cache: &BiRnnCache<C>,
-        grad_out: &Matrix,
-        grads: &mut [Matrix],
-        grad_inputs: &mut Matrix,
-        ws: &mut Workspace,
-    ) {
-        let t_max = cache.seq_len;
-        let h = self.hidden_dim();
-        assert_eq!(
-            grad_out.shape(),
-            (t_max, 2 * h),
-            "BiRnn::backward_into: grad shape {:?} != {:?}",
-            grad_out.shape(),
-            (t_max, 2 * h)
-        );
-        let n_fwd = self.fwd.n_params();
-        assert_eq!(
-            grads.len(),
-            n_fwd + self.bwd.n_params(),
-            "BiRnn::backward_into: gradient slot count"
-        );
-        let (grads_fwd, grads_bwd) = grads.split_at_mut(n_fwd);
-        let mut grad_fwd = ws.take_mat("birnn.grad_fwd", t_max, h);
-        let mut grad_bwd = ws.take_mat("birnn.grad_bwd", t_max, h);
-        for t in 0..t_max {
-            grad_fwd.row_mut(t).copy_from_slice(&grad_out.row(t)[..h]);
-            grad_bwd
-                .row_mut(t_max - 1 - t)
-                .copy_from_slice(&grad_out.row(t)[h..]);
-        }
-        self.fwd
-            .backward_seq_into(&cache.fwd, &grad_fwd, grads_fwd, grad_inputs, ws);
-        let mut gi_bwd_rev = ws.take_mat("birnn.gi_bwd", 0, 0);
-        self.bwd
-            .backward_seq_into(&cache.bwd, &grad_bwd, grads_bwd, &mut gi_bwd_rev, ws);
-        // grad_inputs[t] += gi_bwd_rev[T-1-t]: same element order as the
-        // allocating path's reverse-then-add.
-        for r in 0..t_max {
-            etsb_tensor::add_assign(grad_inputs.row_mut(t_max - 1 - r), gi_bwd_rev.row(r));
-        }
-        grad_inputs.assert_finite("birnn", "backward(grad-in)");
-        ws.put_mat("birnn.gi_bwd", gi_bwd_rev);
-        ws.put_mat("birnn.grad_bwd", grad_bwd);
-        ws.put_mat("birnn.grad_fwd", grad_fwd);
-    }
-
     /// Batched forward over a packed timestep-major batch: both cells run
     /// their batched recurrence (the backward cell on the per-sample
     /// time-reversed packing), and `out` receives the concatenated
     /// `[h_fwd ‖ h_bwd]` rows in packed layout. Bitwise identical to
-    /// per-sample [`BiRnn::forward_into`] calls under
+    /// per-sample [`BiRnn::forward`] calls under
     /// [`KernelPolicy::Exact`]; epsilon-close under `FastMath`.
     pub fn forward_batch_into(
         &self,
@@ -842,7 +618,7 @@ impl<C: Recurrence> BiRnn<C> {
     }
 
     /// Batched backward through both directions on the packed layout.
-    /// Bitwise identical to per-sample [`BiRnn::backward_into`] calls in
+    /// Bitwise identical to per-sample [`BiRnn::backward`] calls in
     /// original batch order (the two cells fill disjoint gradient slots,
     /// so per-slot accumulation order is preserved).
     pub fn backward_batch_into(
@@ -988,32 +764,6 @@ impl<C: Recurrence> StackedBiRnn<C> {
         (out, StackedBiRnnCache { l1, l2, seq_len })
     }
 
-    /// Allocation-free encode: the `2·hidden` feature vector is written
-    /// into `out` (typically a row of a shared feature matrix). Bitwise
-    /// identical to [`StackedBiRnn::forward`].
-    pub fn forward_into(
-        &self,
-        inputs: &Matrix,
-        out: &mut [f32],
-        cache: &mut StackedBiRnnCache<C>,
-        ws: &mut Workspace,
-    ) {
-        let seq_len = inputs.rows();
-        let h = self.layer2.hidden_dim();
-        assert_eq!(out.len(), 2 * h, "StackedBiRnn::forward_into: out width");
-        let mut seq1 = ws.take_mat("stacked.seq1", 0, 0);
-        self.layer1
-            .forward_into(inputs, &mut seq1, &mut cache.l1, ws);
-        let mut seq2 = ws.take_mat("stacked.seq2", 0, 0);
-        self.layer2
-            .forward_into(&seq1, &mut seq2, &mut cache.l2, ws);
-        cache.seq_len = seq_len;
-        out[..h].copy_from_slice(&seq2.row(seq_len - 1)[..h]);
-        out[h..].copy_from_slice(&seq2.row(0)[h..]);
-        ws.put_mat("stacked.seq2", seq2);
-        ws.put_mat("stacked.seq1", seq1);
-    }
-
     /// Backward from a gradient on the final feature vector; `grads` holds
     /// one slot per parameter in [`StackedBiRnn::params`] order (layer1
     /// then layer2). Returns the gradient with respect to the input
@@ -1041,47 +791,10 @@ impl<C: Recurrence> StackedBiRnn<C> {
         self.layer1.backward(&cache.l1, &grad_seq1, grads_l1)
     }
 
-    /// Allocation-free backward: bitwise identical to
-    /// [`StackedBiRnn::backward`], input gradients written into
-    /// `grad_inputs`.
-    pub fn backward_into(
-        &self,
-        cache: &StackedBiRnnCache<C>,
-        grad_out: &[f32],
-        grads: &mut [Matrix],
-        grad_inputs: &mut Matrix,
-        ws: &mut Workspace,
-    ) {
-        let h = self.layer2.hidden_dim();
-        assert_eq!(
-            grad_out.len(),
-            2 * h,
-            "StackedBiRnn::backward_into: grad width"
-        );
-        let n_l1 = self.layer1.n_params();
-        assert_eq!(
-            grads.len(),
-            n_l1 + self.layer2.n_params(),
-            "StackedBiRnn::backward_into: gradient slot count"
-        );
-        let (grads_l1, grads_l2) = grads.split_at_mut(n_l1);
-        let t_max = cache.seq_len;
-        let mut grad_seq2 = ws.take_mat("stacked.grad_seq2", t_max, 2 * h);
-        grad_seq2.row_mut(t_max - 1)[..h].copy_from_slice(&grad_out[..h]);
-        grad_seq2.row_mut(0)[h..].copy_from_slice(&grad_out[h..]);
-        let mut grad_seq1 = ws.take_mat("stacked.grad_seq1", 0, 0);
-        self.layer2
-            .backward_into(&cache.l2, &grad_seq2, grads_l2, &mut grad_seq1, ws);
-        self.layer1
-            .backward_into(&cache.l1, &grad_seq1, grads_l1, grad_inputs, ws);
-        ws.put_mat("stacked.grad_seq1", grad_seq1);
-        ws.put_mat("stacked.grad_seq2", grad_seq2);
-    }
-
     /// Batched encode of a packed batch: both layers run batched, then
     /// each sample's `2·hidden` feature vector lands in `features` row
     /// `orig` (original batch order — the restore-order index map).
-    /// Bitwise identical to per-sample [`StackedBiRnn::forward_into`]
+    /// Bitwise identical to per-sample [`StackedBiRnn::forward`]
     /// under [`KernelPolicy::Exact`]; epsilon-close under `FastMath`.
     // etsb: allow(shape-assert, into-shape-assert) -- thin delegation; layer1's batched forward asserts `packed`, and `features` is a resized sink.
     pub fn forward_batch_into(
@@ -1116,7 +829,7 @@ impl<C: Recurrence> StackedBiRnn<C> {
     /// Batched backward from per-sample feature gradients (`grad_features`
     /// row `orig` is sample `orig`'s gradient); input gradients come back
     /// in packed layout. Bitwise identical to per-sample
-    /// [`StackedBiRnn::backward_into`] calls in original batch order.
+    /// [`StackedBiRnn::backward`] calls in original batch order.
     pub fn backward_batch_into(
         &self,
         batch: &SeqBatch,
@@ -1324,61 +1037,11 @@ mod tests {
         );
     }
 
-    /// The tentpole contract of the workspace rewrite: for every cell
-    /// kind, the `_into` forward/backward produce bit-identical outputs,
-    /// parameter gradients and input gradients — including when the same
-    /// workspace and cache are reused across samples of different lengths.
-    #[test]
-    fn into_paths_are_bitwise_identical_to_allocating_paths() {
-        fn check<C: Recurrence>(seed: u64) {
-            let mut rng = seeded_rng(seed);
-            let net: StackedBiRnn<C> = StackedBiRnn::new(5, 4, &mut rng);
-            let mut ws = Workspace::new();
-            let mut cache_into = StackedBiRnnCache::<C>::default();
-            let mut out_into = vec![0.0_f32; net.output_dim()];
-            let mut gi_into = Matrix::default();
-            // Varying lengths back-to-back: later runs reuse every buffer.
-            for (len, variant) in [(7usize, 0usize), (3, 1), (9, 2)] {
-                let x = Matrix::from_fn(len, 5, |i, j| {
-                    ((i * 5 + j + variant) as f32 * 0.37).sin() * 0.8
-                });
-                let (out_ref, cache_ref) = net.forward(x.clone());
-                net.forward_into(&x, &mut out_into, &mut cache_into, &mut ws);
-                assert_eq!(out_ref, out_into, "forward outputs diverge (len {len})");
-
-                let gseed: Vec<f32> = (0..net.output_dim())
-                    .map(|i| ((i + variant) as f32 * 0.71).cos())
-                    .collect();
-                let mut grads_ref = crate::param::grad_buffer_for(&net.params());
-                let gi_ref = net.backward(&cache_ref, &gseed, grads_ref.slots_mut());
-                let mut grads_into = crate::param::grad_buffer_for(&net.params());
-                net.backward_into(
-                    &cache_into,
-                    &gseed,
-                    grads_into.slots_mut(),
-                    &mut gi_into,
-                    &mut ws,
-                );
-                assert_eq!(gi_ref, gi_into, "input grads diverge (len {len})");
-                for s in 0..grads_ref.len() {
-                    assert_eq!(
-                        grads_ref.slot(s),
-                        grads_into.slot(s),
-                        "grad slot {s} diverges (len {len})"
-                    );
-                }
-            }
-        }
-        check::<RnnCell>(21);
-        check::<crate::GruCell>(22);
-        check::<crate::LstmCell>(23);
-    }
-
     /// The batched tentpole contract: packing mixed-length samples into a
     /// timestep-major batch and running the batched kernels yields
     /// bit-identical features, parameter gradients and input gradients to
-    /// the per-sample workspace path (itself pinned bitwise to the
-    /// allocating reference above) — for every cell kind.
+    /// the allocating per-sample oracle (the path the gradient checks
+    /// above pin) — for every cell kind.
     #[test]
     fn batched_paths_are_bitwise_identical_to_per_sample_paths() {
         fn check<C: Recurrence>(seed: u64) {
@@ -1402,21 +1065,16 @@ mod tests {
                 })
                 .collect();
 
-            // Per-sample workspace reference: samples in original order,
-            // gradients accumulating into one shared buffer — exactly
-            // what one shard of the pre-batching training path did.
-            let mut ws = Workspace::new();
+            // Per-sample oracle: samples in original order, gradients
+            // accumulating into one shared buffer — exactly what one
+            // shard of the pre-batching training path did.
             let mut grads_ref = crate::param::grad_buffer_for(&net.params());
             let mut feats_ref: Vec<Vec<f32>> = Vec::new();
             let mut gi_ref: Vec<Matrix> = Vec::new();
-            let mut cache = StackedBiRnnCache::<C>::default();
-            let mut out = vec![0.0_f32; net.output_dim()];
             for (x, g) in inputs.iter().zip(&gseeds) {
-                net.forward_into(x, &mut out, &mut cache, &mut ws);
-                feats_ref.push(out.clone());
-                let mut gi = Matrix::default();
-                net.backward_into(&cache, g, grads_ref.slots_mut(), &mut gi, &mut ws);
-                gi_ref.push(gi);
+                let (out, cache) = net.forward(x.clone());
+                feats_ref.push(out);
+                gi_ref.push(net.backward(&cache, g, grads_ref.slots_mut()));
             }
 
             // Batched path: pack, run once, compare against every sample.

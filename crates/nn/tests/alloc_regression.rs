@@ -1,11 +1,12 @@
-//! Allocation-regression guard for the sequence hot path.
+//! Allocation-regression guard for the batched sequence hot path.
 //!
-//! The whole point of the workspace refactor is that a *warmed*
-//! forward/backward pass over a sequence performs zero heap allocations:
-//! every buffer is either owned by the reusable cache or borrowed from
-//! the per-worker [`Workspace`]. This test pins that property with a
-//! counting global allocator — if someone reintroduces a per-step or
-//! per-sample allocation, the count goes nonzero and the test names it.
+//! A *warmed* batched forward/backward pass performs zero heap
+//! allocations: every buffer is either owned by the reusable cache or
+//! borrowed from the per-worker [`Workspace`]. These tests pin that
+//! property with a counting global allocator — for every cell kind
+//! under both kernel policies — so if someone reintroduces a per-step
+//! or per-sample allocation, the count goes nonzero and the test names
+//! the cell and policy.
 //
 // A test-only global allocator shim is the one legitimate unsafe block in
 // the workspace; the deny-by-default lint stays on everywhere else.
@@ -14,7 +15,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use etsb_nn::{grad_buffer_for, RnnCache, RnnCell, SeqBatch, StackedBiRnn, StackedBiRnnCache};
+use etsb_nn::{
+    grad_buffer_for, GruCell, LstmCell, Recurrence, RnnCell, SeqBatch, StackedBiRnn,
+    StackedBiRnnCache,
+};
 use etsb_tensor::{init::seeded_rng, KernelPolicy, Matrix, Workspace};
 
 /// Counts every allocation (alloc, alloc_zeroed, realloc) while
@@ -75,50 +79,12 @@ fn allocations() -> usize {
     ALLOCATIONS.with(Cell::get)
 }
 
-#[test]
-fn warmed_rnn_forward_backward_is_allocation_free() {
-    let mut rng = seeded_rng(7);
-    let (t_max, input_dim, hidden) = (32, 12, 16);
-    let cell = RnnCell::new(input_dim, hidden, &mut rng);
-    let inputs = Matrix::from_fn(t_max, input_dim, |i, j| {
-        ((i * input_dim + j) as f32 * 0.13).sin()
-    });
-    let grad_hidden = Matrix::from_fn(t_max, hidden, |i, j| ((i * hidden + j) as f32 * 0.29).cos());
-
-    let mut ws = Workspace::new();
-    let mut cache = RnnCache::default();
-    let mut grads = vec![
-        Matrix::zeros(input_dim, hidden),
-        Matrix::zeros(hidden, hidden),
-        Matrix::zeros(1, hidden),
-    ];
-    let mut grad_inputs = Matrix::default();
-
-    // Warm-up: every cache / workspace / output buffer reaches its final
-    // capacity here (two rounds so pool put/take cycles settle too).
-    for _ in 0..2 {
-        cell.forward_into(&inputs, &mut cache, &mut ws);
-        cell.backward_into(&cache, &grad_hidden, &mut grads, &mut grad_inputs, &mut ws);
-    }
-
-    let before = allocations();
-    cell.forward_into(&inputs, &mut cache, &mut ws);
-    cell.backward_into(&cache, &grad_hidden, &mut grads, &mut grad_inputs, &mut ws);
-    let after = allocations();
-
-    assert_eq!(
-        after - before,
-        0,
-        "warmed RnnCell forward+backward heap-allocated {} time(s)",
-        after - before
-    );
-}
-
-#[test]
-fn warmed_batched_stack_is_allocation_free() {
+/// Heap allocations made by one warmed batched forward + backward pass
+/// through a `StackedBiRnn<C>` with the forward under `policy`.
+fn warmed_batched_allocations<C: Recurrence>(policy: KernelPolicy) -> usize {
     let mut rng = seeded_rng(11);
     let (input_dim, hidden) = (9, 12);
-    let net: StackedBiRnn<RnnCell> = StackedBiRnn::new(input_dim, hidden, &mut rng);
+    let net: StackedBiRnn<C> = StackedBiRnn::new(input_dim, hidden, &mut rng);
     let batch = SeqBatch::from_lengths(&[17, 5, 29, 11]);
     let packed = Matrix::from_fn(batch.total_rows(), input_dim, |i, j| {
         ((i * input_dim + j) as f32 * 0.17).sin()
@@ -132,16 +98,8 @@ fn warmed_batched_stack_is_allocation_free() {
     let mut grads = grad_buffer_for(&net.params());
     let mut features = Matrix::default();
     let mut grad_inputs = Matrix::default();
-
-    for _ in 0..2 {
-        net.forward_batch_into(
-            &packed,
-            &batch,
-            &mut features,
-            &mut cache,
-            &mut ws,
-            KernelPolicy::Exact,
-        );
+    let mut pass = || {
+        net.forward_batch_into(&packed, &batch, &mut features, &mut cache, &mut ws, policy);
         net.backward_batch_into(
             &batch,
             &cache,
@@ -150,33 +108,33 @@ fn warmed_batched_stack_is_allocation_free() {
             &mut grad_inputs,
             &mut ws,
         );
-    }
+    };
 
+    // Warm-up: every cache / workspace / output buffer reaches its final
+    // capacity here (two rounds so pool put/take cycles settle too).
+    pass();
+    pass();
     let before = allocations();
-    net.forward_batch_into(
-        &packed,
-        &batch,
-        &mut features,
-        &mut cache,
-        &mut ws,
-        KernelPolicy::Exact,
-    );
-    net.backward_batch_into(
-        &batch,
-        &cache,
-        &grad_features,
-        grads.slots_mut(),
-        &mut grad_inputs,
-        &mut ws,
-    );
-    let after = allocations();
+    pass();
+    allocations() - before
+}
 
-    assert_eq!(
-        after - before,
-        0,
-        "warmed batched stack forward+backward heap-allocated {} time(s)",
-        after - before
-    );
+#[test]
+fn warmed_batched_stack_is_allocation_free() {
+    for policy in [KernelPolicy::Exact, KernelPolicy::FastMath] {
+        for (cell, n) in [
+            ("RnnCell", warmed_batched_allocations::<RnnCell>(policy)),
+            ("GruCell", warmed_batched_allocations::<GruCell>(policy)),
+            ("LstmCell", warmed_batched_allocations::<LstmCell>(policy)),
+        ] {
+            assert_eq!(
+                n,
+                0,
+                "warmed batched {cell} stack forward+backward under {} heap-allocated {n} time(s)",
+                policy.name()
+            );
+        }
+    }
 }
 
 /// Epoch-over-epoch guard for the batched workspace keys: once the pools

@@ -765,22 +765,6 @@ impl Matrix {
         out
     }
 
-    /// `v @ self` written into `out` (cleared and resized; allocation-free
-    /// once `out`'s capacity suffices). Bitwise identical to [`Self::vecmat`].
-    pub fn vecmat_into(&self, v: &[f32], out: &mut Vec<f32>) {
-        assert_eq!(
-            self.rows,
-            v.len(),
-            "vecmat_into: vec of len {} @ {}x{}",
-            v.len(),
-            self.rows,
-            self.cols
-        );
-        out.clear();
-        out.resize(self.cols, 0.0);
-        self.accumulate_rows(v, out);
-    }
-
     /// Rank-1 update `self += alpha * a b^T`; the outer-product accumulation
     /// at the heart of every weight-gradient in `etsb-nn`.
     pub fn add_outer(&mut self, alpha: f32, a: &[f32], b: &[f32]) {
@@ -1276,7 +1260,6 @@ mod tests {
         let b = messy(13, 6);
         let bt = messy(6, 13);
         let v13: Vec<f32> = (0..13).map(|i| i as f32 * 0.3 - 1.7).collect();
-        let v9: Vec<f32> = (0..9).map(|i| i as f32 * -0.21 + 0.5).collect();
 
         // Seed the `_into` outputs with garbage to prove they overwrite.
         let mut m = Matrix::full(2, 2, 7.7);
@@ -1289,9 +1272,6 @@ mod tests {
         let mut v = vec![9.9; 3];
         a.matvec_into(&v13, &mut v);
         assert_eq!(v, a.matvec(&v13));
-
-        a.vecmat_into(&v9, &mut v);
-        assert_eq!(v, a.vecmat(&v9));
     }
 
     /// The batched weight-gradient kernel must be bitwise identical to

@@ -63,8 +63,8 @@ mod x86;
 /// Which numeric contract a kernel invocation must honour.
 ///
 /// Threaded from `etsb_core`'s prediction entry points down through the
-/// batched RNN forward paths. Training, backward and the per-sample
-/// reference paths never accept a policy: they are always exact.
+/// batched RNN forward paths. Training, backward and the allocating
+/// per-sample oracle never accept a policy: they are always exact.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum KernelPolicy {
     /// The bitwise-determinism contract: fixed ascending-k mul-then-add
@@ -195,83 +195,6 @@ impl Matrix {
                 crate::sanitize::assert_finite(
                     "tensor",
                     "matmul_window_policy_into",
-                    out.as_slice(),
-                );
-            }
-        }
-    }
-
-    /// Policy-dispatched [`Matrix::matvec_into`]: `self @ v` into `out`.
-    ///
-    /// `FastMath` computes each output element as an eight-lane fused
-    /// multiply-add dot product (lane `l` accumulates indices
-    /// `k ≡ l (mod 8)`), bitwise identical across backends.
-    // Dispatch into runtime-verified AVX2 kernels (see above).
-    #[allow(unsafe_code)]
-    pub fn matvec_policy_into(&self, v: &[f32], out: &mut Vec<f32>, policy: KernelPolicy) {
-        assert_eq!(
-            self.cols(),
-            v.len(),
-            "matvec_policy_into: {}x{} @ vec of len {}",
-            self.rows(),
-            self.cols(),
-            v.len()
-        );
-        match policy {
-            KernelPolicy::Exact => self.matvec_into(v, out),
-            KernelPolicy::FastMath => {
-                out.clear();
-                out.resize(self.rows(), 0.0);
-                match active_backend() {
-                    Backend::Portable => portable::matvec(self, v, out),
-                    #[cfg(target_arch = "x86_64")]
-                    // SAFETY: Backend::Avx2 is only ever produced by
-                    // `detected_backend`, which verified the `avx2` and
-                    // `fma` CPU features at runtime.
-                    Backend::Avx2 => unsafe { x86::matvec(self, v, out) },
-                }
-                crate::sanitize::assert_finite("tensor", "matvec_policy_into", out);
-            }
-        }
-    }
-
-    /// Policy-dispatched [`Matrix::matmul_transposed_into`]:
-    /// `self @ other.T` into `out`, each element one fused multiply-add
-    /// dot product under `FastMath` (same lane scheme as
-    /// [`Matrix::matvec_policy_into`], bitwise identical across
-    /// backends).
-    // Dispatch into runtime-verified AVX2 kernels (see above).
-    #[allow(unsafe_code)]
-    pub fn matmul_transposed_policy_into(
-        &self,
-        other: &Matrix,
-        out: &mut Matrix,
-        policy: KernelPolicy,
-    ) {
-        assert_eq!(
-            self.cols(),
-            other.cols(),
-            "matmul_transposed_policy_into: {}x{} @ ({}x{})^T shape mismatch",
-            self.rows(),
-            self.cols(),
-            other.rows(),
-            other.cols()
-        );
-        match policy {
-            KernelPolicy::Exact => self.matmul_transposed_into(other, out),
-            KernelPolicy::FastMath => {
-                out.resize_zeroed(self.rows(), other.rows());
-                match active_backend() {
-                    Backend::Portable => portable::matmul_transposed(self, other, out),
-                    #[cfg(target_arch = "x86_64")]
-                    // SAFETY: Backend::Avx2 is only ever produced by
-                    // `detected_backend`, which verified the `avx2` and
-                    // `fma` CPU features at runtime.
-                    Backend::Avx2 => unsafe { x86::matmul_transposed(self, other, out) },
-                }
-                crate::sanitize::assert_finite(
-                    "tensor",
-                    "matmul_transposed_policy_into",
                     out.as_slice(),
                 );
             }
@@ -465,27 +388,6 @@ pub fn matmul_window_fast_with(
     }
 }
 
-/// Explicit-backend fused dot product (the FastMath building block of
-/// `matvec` / `matmul_transposed`), for the dispatch-correctness tests.
-// Dispatch into runtime-verified AVX2 kernels (see the policy methods).
-#[allow(unsafe_code)]
-pub fn dot_fast_with(backend: Backend, a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(
-        a.len(),
-        b.len(),
-        "dot_fast_with: {} vs {} elements",
-        a.len(),
-        b.len()
-    );
-    match backend {
-        Backend::Portable => portable::dot(a, b),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Backend::Avx2 values only exist on hosts where
-        // `detected_backend` verified the `avx2` and `fma` features.
-        Backend::Avx2 => unsafe { x86::dot(a, b) },
-    }
-}
-
 /// FastMath elementwise tanh in place, on [`active_backend`]: the
 /// rational approximation `x·P(x²)/Q(x²)` evaluated as fused
 /// multiply-add Horner chains — max abs error 2.4e-7 against
@@ -509,14 +411,6 @@ pub fn tanh_fast_with(backend: Backend, xs: &mut [f32]) {
         // `detected_backend` verified the `avx2` and `fma` features.
         Backend::Avx2 => unsafe { x86::tanh_inplace(xs) },
     }
-}
-
-/// Reduce the eight dot-product lanes with the fixed symmetric tree
-/// `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))` — shared verbatim by the
-/// portable and AVX2 backends so their results stay bitwise identical.
-#[inline]
-pub(crate) fn reduce_lanes(l: &[f32; 8]) -> f32 {
-    ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
 }
 
 #[cfg(test)]
@@ -600,45 +494,6 @@ mod tests {
                 native.name()
             );
         }
-        for len in [1usize, 7, 8, 9, 64, 129] {
-            let a: Vec<f32> = (0..len)
-                .map(|i| {
-                    if i % 5 == 0 {
-                        0.0
-                    } else {
-                        rng.gen_range(-1.0..1.0)
-                    }
-                })
-                .collect();
-            let b: Vec<f32> = (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            let p = dot_fast_with(Backend::Portable, &a, &b);
-            let n = dot_fast_with(native, &a, &b);
-            assert_eq!(
-                p.to_bits(),
-                n.to_bits(),
-                "dot lanes diverged at len {len} (portable {p} vs {} {n})",
-                native.name()
-            );
-        }
-    }
-
-    #[test]
-    fn fast_matvec_and_transposed_match_exact_within_epsilon() {
-        let mut rng = seeded_rng(44);
-        let m = random_matrix(&mut rng, 19, 31);
-        let v: Vec<f32> = (0..31).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mut exact = Vec::new();
-        let mut fast = Vec::new();
-        m.matvec_policy_into(&v, &mut exact, KernelPolicy::Exact);
-        m.matvec_policy_into(&v, &mut fast, KernelPolicy::FastMath);
-        assert!(max_abs_diff(&exact, &fast) <= 1e-5);
-
-        let other = random_matrix(&mut rng, 13, 31);
-        let mut exact = Matrix::default();
-        let mut fast = Matrix::default();
-        m.matmul_transposed_policy_into(&other, &mut exact, KernelPolicy::Exact);
-        m.matmul_transposed_policy_into(&other, &mut fast, KernelPolicy::FastMath);
-        assert!(max_abs_diff(exact.as_slice(), fast.as_slice()) <= 1e-5);
     }
 
     #[test]

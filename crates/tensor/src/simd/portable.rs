@@ -11,7 +11,6 @@
 //! Callers (the dispatchers in `simd::mod`) validate shapes and
 //! pre-zero the output; these kernels only accumulate.
 
-use super::reduce_lanes;
 use crate::Matrix;
 
 /// FastMath window product into a pre-zeroed `out`:
@@ -36,26 +35,6 @@ pub(super) fn matmul_window(
             }
         }
     }
-}
-
-/// FastMath dot product: eight independent fused multiply-add lanes
-/// (lane `l` accumulates indices `k ≡ l (mod 8)` in ascending order,
-/// the remainder continuing lanes `0..len%8`), reduced by the shared
-/// symmetric tree. Mirrors one AVX2 register lane-for-lane.
-// etsb: allow(shape-assert) -- lengths validated by the policy dispatcher.
-pub(super) fn dot(a: &[f32], b: &[f32]) -> f32 {
-    let mut lanes = [0.0f32; 8];
-    let mut ac = a.chunks_exact(8);
-    let mut bc = b.chunks_exact(8);
-    for (a8, b8) in (&mut ac).zip(&mut bc) {
-        for (l, lane) in lanes.iter_mut().enumerate() {
-            *lane = a8[l].mul_add(b8[l], *lane);
-        }
-    }
-    for (l, (&av, &bv)) in ac.remainder().iter().zip(bc.remainder()).enumerate() {
-        lanes[l] = av.mul_add(bv, lanes[l]);
-    }
-    reduce_lanes(&lanes)
 }
 
 /// Clamp bound of the FastMath tanh approximation: beyond this |x| the
@@ -107,28 +86,6 @@ pub(super) fn tanh_one(x: f32) -> f32 {
 pub(super) fn tanh_inplace(xs: &mut [f32]) {
     for x in xs {
         *x = tanh_one(*x);
-    }
-}
-
-/// FastMath matrix–vector product into a pre-sized `out`: one fused
-/// [`dot`] per row.
-// etsb: allow(shape-assert) -- shapes validated by the policy dispatcher.
-pub(super) fn matvec(m: &Matrix, v: &[f32], out: &mut [f32]) {
-    for (i, o) in out.iter_mut().enumerate() {
-        *o = dot(m.row(i), v);
-    }
-}
-
-/// FastMath `a @ b.T` into a pre-shaped `out`: one fused [`dot`] per
-/// element.
-// etsb: allow(shape-assert) -- shapes validated by the policy dispatcher.
-pub(super) fn matmul_transposed(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    for i in 0..a.rows() {
-        let a_row = a.row(i);
-        let out_row = out.row_mut(i);
-        for (j, o) in out_row.iter_mut().enumerate() {
-            *o = dot(a_row, b.row(j));
-        }
     }
 }
 

@@ -10,8 +10,7 @@
 //! performs one fused multiply-add per lane, exactly like scalar
 //! [`f32::mul_add`]. Column blocking (32/8/scalar in `matmul_window`)
 //! regroups *independent* per-column chains and therefore cannot change
-//! a bit; the dot kernel's register lanes and reduction tree mirror the
-//! portable eight-lane scheme index for index.
+//! a bit.
 //!
 //! *Exact.* The exact matmul kernels are not reimplemented here: each
 //! `exact_*` shim calls the one `#[inline(always)]` body in `matrix.rs`,
@@ -32,7 +31,6 @@ use super::portable::{
     self, EXPM1_3HALF_LN2, EXPM1_HALF_LN2, EXPM1_Q, EXPM1_TINY, INV_LN2, LN2_HI, LN2_LO,
     TANH_ALPHA, TANH_BETA, TANH_CLAMP, TANH_HUGE, TANH_ONE, TANH_TINY,
 };
-use super::reduce_lanes;
 use crate::Matrix;
 use std::arch::x86_64::{
     __m256, __m256i, _mm256_add_epi32, _mm256_add_ps, _mm256_and_si256, _mm256_andnot_si256,
@@ -116,85 +114,6 @@ pub(super) unsafe fn matmul_window(
                 acc = av.mul_add(*bp.add(k * cols + jj), acc);
             }
             *o = acc;
-        }
-    }
-}
-
-/// FastMath dot product: one accumulator register whose lane `l` holds
-/// the ascending chain over indices `k ≡ l (mod 8)`, spilled to the
-/// same eight lanes and reduced by the same tree as the portable
-/// backend.
-///
-/// # Safety
-///
-/// The CPU must support `avx2` and `fma`, and the caller must have
-/// checked `a.len() == b.len()`.
-// SAFETY: callers uphold the `# Safety` contract above — `Backend::Avx2`
-// existence proves avx2+fma, and the policy dispatcher validated lengths.
-// etsb: allow(shape-assert) -- lengths validated by the policy dispatcher.
-#[target_feature(enable = "avx2", enable = "fma")]
-pub(super) unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
-    let chunks = a.len() / 8;
-    let ap = a.as_ptr();
-    let bp = b.as_ptr();
-    let mut acc = _mm256_setzero_ps();
-    for c in 0..chunks {
-        // SAFETY: c*8+8 <= a.len() == b.len(), so both loads are in
-        // bounds.
-        let va = _mm256_loadu_ps(ap.add(c * 8));
-        let vb = _mm256_loadu_ps(bp.add(c * 8));
-        acc = _mm256_fmadd_ps(va, vb, acc);
-    }
-    let mut lanes = [0.0f32; 8];
-    // SAFETY: `lanes` is exactly eight contiguous f32s.
-    _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-    for (l, lane) in lanes.iter_mut().enumerate().take(a.len() % 8) {
-        let k = chunks * 8 + l;
-        // SAFETY: k < a.len() == b.len() by the remainder bound.
-        *lane = (*ap.add(k)).mul_add(*bp.add(k), *lane);
-    }
-    reduce_lanes(&lanes)
-}
-
-/// FastMath matrix–vector product into a pre-sized `out`: one fused
-/// [`dot`] per row.
-///
-/// # Safety
-///
-/// The CPU must support `avx2` and `fma`, and the caller must have
-/// validated `m.cols() == v.len()` and sized `out` to `m.rows()`.
-// SAFETY: callers uphold the `# Safety` contract above — `Backend::Avx2`
-// existence proves avx2+fma, and the policy dispatcher validated shapes.
-// etsb: allow(shape-assert) -- shapes validated by the policy dispatcher.
-#[target_feature(enable = "avx2", enable = "fma")]
-pub(super) unsafe fn matvec(m: &Matrix, v: &[f32], out: &mut [f32]) {
-    for (i, o) in out.iter_mut().enumerate() {
-        // SAFETY: features hold for this whole fn; row lengths equal
-        // v.len() by the caller's shape check.
-        *o = dot(m.row(i), v);
-    }
-}
-
-/// FastMath `a @ b.T` into a pre-shaped `out`: one fused [`dot`] per
-/// element.
-///
-/// # Safety
-///
-/// The CPU must support `avx2` and `fma`, and the caller must have
-/// validated `a.cols() == b.cols()` and shaped `out` to
-/// `a.rows() x b.rows()`.
-// SAFETY: callers uphold the `# Safety` contract above — `Backend::Avx2`
-// existence proves avx2+fma, and the policy dispatcher validated shapes.
-// etsb: allow(shape-assert) -- shapes validated by the policy dispatcher.
-#[target_feature(enable = "avx2", enable = "fma")]
-pub(super) unsafe fn matmul_transposed(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    for i in 0..a.rows() {
-        let a_row = a.row(i);
-        let out_row = out.row_mut(i);
-        for (j, o) in out_row.iter_mut().enumerate() {
-            // SAFETY: features hold for this whole fn; row lengths
-            // equal by the caller's shape check.
-            *o = dot(a_row, b.row(j));
         }
     }
 }

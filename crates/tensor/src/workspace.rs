@@ -1,15 +1,16 @@
-//! Keyed pool of reusable scratch buffers for the per-sample hot path.
+//! Keyed pool of reusable scratch buffers for the batched sequence path.
 //!
-//! The sequence layers in `etsb-nn` used to heap-allocate several `Vec`s
-//! per timestep. A [`Workspace`] owns those buffers instead: callers
-//! `take_*` a buffer at the start of an operation and `put_*` it back at
-//! the end, so after a warmup pass the same allocations are recycled
-//! forever. Buffers are keyed by a static string naming their role
-//! (e.g. `"rnn.dz"`), which keeps shapes from unrelated call sites out of
-//! each other's pools, and every acquisition is **zero-filled at the
-//! requested size** — a taken buffer is indistinguishable from a freshly
-//! allocated `vec![0.0; len]` / `Matrix::zeros`, which is what makes the
-//! workspace path bitwise identical to the allocating path.
+//! The batched sequence kernels in `etsb-nn` (`*_batch_into`) need
+//! several scratch matrices per timestep and per layer. A [`Workspace`]
+//! owns those buffers: callers `take_*` a buffer at the start of an
+//! operation and `put_*` it back at the end, so after a warmup pass the
+//! same allocations are recycled forever. Buffers are keyed by a static
+//! string naming their role (e.g. `"rnn.bdz_all"`), which keeps shapes
+//! from unrelated call sites out of each other's pools, and every
+//! acquisition is **zero-filled at the requested size** — a taken buffer
+//! is indistinguishable from a freshly allocated `vec![0.0; len]` /
+//! `Matrix::zeros`, which is what lets the batched path stay bitwise
+//! identical to the allocating per-sample oracle.
 //!
 //! Each key holds a *stack* of buffers, so re-entrant use (taking the
 //! same key twice before returning it, as the bidirectional layers do) is

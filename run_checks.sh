@@ -31,8 +31,11 @@
 #                                         schema-validate the responses
 #                                         and assert byte equality
 #   9. bench smoke + schema             -- bench_summary --smoke writes
-#                                         BENCH_hotpath.json, then
-#                                         --validate schema-checks it
+#                                         BENCH_hotpath.json (the batched
+#                                         forward+backward arm and the
+#                                         exact/fast-math inference
+#                                         arms), then --validate
+#                                         schema-checks it
 #  10. serve_bench smoke + schema        -- serve_bench --smoke writes
 #                                         BENCH_serve.json (3 load
 #                                         steps, both kernel policies),
@@ -56,7 +59,10 @@
 #                                         runs, for both kernel tiers)
 #                                         keeps the epsilon, dispatch,
 #                                         golden-bits and batched-vs-
-#                                         per-sample contracts too
+#                                         oracle contracts too (the
+#                                         etsb-nn and etsb-core unit
+#                                         suites hold the batched-vs-
+#                                         allocating-oracle tests)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -138,6 +144,8 @@ EOF
 
     step "forced-portable kernel dispatch (ETSB_KERNELS=portable)"
     ETSB_KERNELS=portable cargo test -q -p etsb-tensor --test kernel_dispatch --test exact_dispatch
+    ETSB_KERNELS=portable cargo test -q -p etsb-nn --lib
+    ETSB_KERNELS=portable cargo test -q -p etsb-core --lib
     ETSB_KERNELS=portable cargo test -q -p etsb-core --test fast_math_equiv
     ETSB_KERNELS=portable cargo test -q -p etsb-core --test determinism --test streaming
     ETSB_KERNELS=portable cargo test -q -p etsb-serve --test serve

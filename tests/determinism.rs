@@ -144,8 +144,9 @@ fn training_is_bitwise_identical_across_worker_counts() {
 /// Batched execution must be worker-invariant for *every* cell type —
 /// vanilla, LSTM and GRU each take a distinct batched kernel path, and
 /// each must produce the same losses, weights and predictions whether the
-/// shards run serially or on four threads. (The batched-vs-per-sample leg
-/// of the equivalence suite lives next to the models:
+/// shards run serially or on four threads. (The batched-vs-oracle leg of
+/// the equivalence suite, which replays the allocating per-sample
+/// forward/backward one sample at a time, lives next to the models:
 /// `model::tsb` / `model::etsb` `batched_train_matches_per_sample_reference_bitwise`
 /// and the nn-level `batched_paths_are_bitwise_identical_to_per_sample_paths`.)
 #[test]
@@ -311,6 +312,7 @@ fn training_is_bitwise_identical_with_tracing_on() {
 fn memoized_predict_is_bitwise_identical_to_direct() {
     use etsb_core::encode::EncodedDataset;
     use etsb_core::model::{memo_key, AnyModel};
+    use etsb_core::KernelPolicy;
     use etsb_nn::parallel::set_worker_override;
     use etsb_tensor::init::seeded_rng;
     use std::collections::HashSet;
@@ -340,10 +342,10 @@ fn memoized_predict_is_bitwise_identical_to_direct() {
     for kind in [ModelKind::Tsb, ModelKind::Etsb] {
         let model = AnyModel::new(kind, &data, &cfg, &mut seeded_rng(37));
         set_worker_override(1);
-        let direct_1 = model.predict_probs_direct(&data, &cells);
+        let direct_1 = model.predict_probs_direct_with(&data, &cells, KernelPolicy::Exact);
         let memo_1 = model.predict_probs(&data, &cells);
         set_worker_override(4);
-        let direct_4 = model.predict_probs_direct(&data, &cells);
+        let direct_4 = model.predict_probs_direct_with(&data, &cells, KernelPolicy::Exact);
         let memo_4 = model.predict_probs(&data, &cells);
         set_worker_override(0);
         assert_eq!(memo_1, direct_1, "{kind:?}: memoization changed bits");
