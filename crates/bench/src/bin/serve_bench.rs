@@ -4,7 +4,8 @@
 //! loads (1, 2, 4, … concurrent clients, each submitting requests
 //! back-to-back), and reports per-step latency quantiles, batch
 //! occupancy, queue depth and cache hit rate — all read from the
-//! service's own metrics registry by diffing a [`RegistrySnapshot`]
+//! service's own metrics registry by diffing a
+//! [`RegistrySnapshot`](etsb_obs::registry::RegistrySnapshot)
 //! taken around each arm, so the numbers the bench reports are exactly
 //! the numbers `GET /metrics` exposes. Writes `BENCH_serve.json` (a
 //! JSON array that `--validate` schema-checks and `run_checks.sh`

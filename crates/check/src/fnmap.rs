@@ -1,7 +1,7 @@
 //! Function-span extraction: the lightweight "body layer" the semantic
 //! rules reason over.
 //!
-//! [`function_spans`] walks stripped source (see [`crate::strip`]) and
+//! [`function_spans`] walks stripped source (see the `strip` module) and
 //! returns one [`FnSpan`] per function with a body: its name, full
 //! signature text, visibility, the enclosing `impl` self-type, and the
 //! line span of its body. Rules use the spans to ask questions like

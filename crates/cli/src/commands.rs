@@ -223,10 +223,11 @@ fn run_detection(
 }
 
 /// Output format of `--out`, chosen by extension (`.jsonl` → JSONL,
-/// anything else → the legacy CSV layout).
+/// anything else → CSV). `etsb apply --out` writes the CSV layout too.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum EmitFormat {
-    /// `tuple_id,attribute,value,flagged` CSV rows.
+    /// `tuple_id,attribute,value,flagged` CSV rows, quoted so that
+    /// `etsb_table::csv` reads every field back unchanged.
     Csv,
     /// One JSON object per flagged cell.
     Jsonl,
@@ -248,13 +249,23 @@ impl EmitFormat {
         }
     }
 
-    /// Append one flagged cell. Both the in-memory and the streaming
-    /// writers go through here, so their output is identical by
-    /// construction.
+    /// Append one flagged cell. The in-memory and streaming `detect`
+    /// writers and `apply` all go through here, so their output is
+    /// identical by construction.
+    ///
+    /// A CSV value is always quoted, each `"` doubled; the attribute is
+    /// quoted only when it holds `,`, `"`, CR or LF, the rule
+    /// `etsb_table::csv` applies when it writes a table.
     fn push_line(self, out: &mut String, tuple_id: usize, attr: &str, value: &str) {
         match self {
             EmitFormat::Csv => {
-                out.push_str(&format!("{tuple_id},{attr},{value:?},1\n"));
+                let quote = |field: &str| format!("\"{}\"", field.replace('"', "\"\""));
+                let attr = if attr.contains([',', '"', '\n', '\r']) {
+                    quote(attr)
+                } else {
+                    attr.to_string()
+                };
+                out.push_str(&format!("{tuple_id},{attr},{},1\n", quote(value)));
             }
             EmitFormat::Jsonl => {
                 let line = Value::obj([
@@ -435,19 +446,11 @@ pub fn apply(args: &[String]) -> Result<(), String> {
     );
     if let Some(out) = flags.get("out") {
         let n_cols = dirty.n_cols();
-        let mut csv_text = String::from(
-            "tuple_id,attribute,value,flagged
-",
-        );
+        let mut csv_text = String::from(EmitFormat::Csv.header());
         for (i, &m) in mask.iter().enumerate() {
             if m {
                 let (r, c) = (i / n_cols, i % n_cols);
-                csv_text.push_str(&format!(
-                    "{r},{},{:?},1
-",
-                    dirty.columns()[c],
-                    dirty.cell(r, c)
-                ));
+                EmitFormat::Csv.push_line(&mut csv_text, r, &dirty.columns()[c], dirty.cell(r, c));
             }
         }
         std::fs::write(out, csv_text).map_err(|e| e.to_string())?;
@@ -641,7 +644,7 @@ mod tests {
         EmitFormat::Csv.push_line(&mut csv_text, 3, "zip", "a\"b");
         assert_eq!(
             csv_text,
-            "tuple_id,attribute,value,flagged\n3,zip,\"a\\\"b\",1\n"
+            "tuple_id,attribute,value,flagged\n3,zip,\"a\"\"b\",1\n"
         );
 
         let mut jsonl = String::from(EmitFormat::Jsonl.header());
@@ -650,6 +653,25 @@ mod tests {
             jsonl,
             "{\"attribute\":\"zip\",\"flagged\":true,\"tuple_id\":3,\"value\":\"ok\"}\n"
         );
+    }
+
+    /// A flagged-cell CSV reads back through `etsb_table::csv` to the
+    /// original attribute and value, whatever characters they hold.
+    #[test]
+    fn csv_lines_round_trip_through_the_table_reader() {
+        let (attr, value) = ("a,b", "5\" \"x\", C:\\tmp\tend\nnext");
+        let mut text = String::from(EmitFormat::Csv.header());
+        EmitFormat::Csv.push_line(&mut text, 7, attr, value);
+        EmitFormat::Csv.push_line(&mut text, 8, "zip", "plain");
+        let table = etsb_table::csv::parse(&text).unwrap();
+        assert_eq!(
+            table.columns(),
+            ["tuple_id", "attribute", "value", "flagged"]
+        );
+        assert_eq!(table.n_rows(), 2);
+        let row = |r: usize| (0..4).map(|c| table.cell(r, c)).collect::<Vec<_>>();
+        assert_eq!(row(0), ["7", attr, value, "1"]);
+        assert_eq!(row(1), ["8", "zip", "plain", "1"]);
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! produce, so serving from the cache never changes an output.
 //!
 //! Determinism of the *cache itself*: recency is tracked in a
-//! [`BTreeMap`] keyed by a monotone access tick, so eviction order is a
+//! [`BTreeMap`](std::collections::BTreeMap) keyed by a monotone access tick, so eviction order is a
 //! pure function of the operation sequence — no hash-iteration order
-//! leaks into behavior (lookups still go through a [`HashMap`], which is
+//! leaks into behavior (lookups still go through a [`HashMap`](std::collections::HashMap), which is
 //! fine: only iteration order is nondeterministic, never `get`).
 
 use std::collections::{BTreeMap, HashMap};
@@ -75,8 +75,8 @@ impl PredictCache {
     }
 
     /// A capacity-0 cache: probes always miss, inserts are no-ops. The
-    /// plain `predict_probs` path uses this to share one code path with
-    /// the cached one at zero cost.
+    /// uncached `predict_probs_with` path uses this to share one code
+    /// path with the cached one at zero cost.
     pub fn disabled() -> Self {
         Self::new(0)
     }

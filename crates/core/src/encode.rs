@@ -1,4 +1,4 @@
-//! Encoding of a merged [`CellFrame`] into model inputs, and the
+//! Encoding of a merged [`CellFrame`](etsb_table::CellFrame) into model inputs, and the
 //! train/test split by tuple id.
 
 use etsb_table::{normalize_value, AttrIndex, CellFrame, CharIndex, Table, TableError};

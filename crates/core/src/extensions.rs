@@ -1,10 +1,10 @@
 //! The paper's §5.7 future-work directions, implemented:
 //!
-//! * [`fd_augmented`] — "our approach does not consider functional
+//! * [`fd_augmented`](crate::extensions::fd_augmented) — "our approach does not consider functional
 //!   dependencies between different attributes": combine the model's
 //!   predictions with approximate-FD violation signals (a 12-year-old
 //!   with a 99,000 salary becomes detectable).
-//! * [`duplicate_aware`] — "we should integrate a way to identify primary
+//! * [`duplicate_aware`](crate::extensions::duplicate_aware) — "we should integrate a way to identify primary
 //!   keys": detect a key-like column whose values group duplicate
 //!   records from different sources (Flights), and flag cells that
 //!   disagree with their group's majority — exactly the cross-record

@@ -13,10 +13,10 @@
 //! * [`sampling`] — the paper's three trainset-selection algorithms:
 //!   [`sampling::random_set`] (Alg. 1), [`sampling::raha_set`] (Alg. 2,
 //!   via `etsb-raha`) and the novel [`sampling::diver_set`] (Alg. 3),
-//! * [`model`] — the two architectures of §4.3: [`model::TsbRnn`]
-//!   (two-stacked bidirectional RNN over characters) and
-//!   [`model::EtsbRnn`] (enriched with attribute metadata and value
-//!   length),
+//! * [`model`] — the two architectures of §4.3 as one type,
+//!   [`model::AnyModel`]: TSB-RNN (two-stacked bidirectional RNN over
+//!   characters) and ETSB-RNN (enriched with attribute metadata and
+//!   value length), chosen by [`config::ModelKind`],
 //! * [`train`] — the §5.2 protocol: 120 epochs, batches of a quarter of
 //!   the trainset, RMSprop, binary cross-entropy, best-train-loss weight
 //!   checkpointing, accuracy history for the paper's Figures 6–7,

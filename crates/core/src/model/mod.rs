@@ -1,19 +1,33 @@
-//! The paper's two neural architectures (§4.3) and their shared
-//! classification head.
-
-mod etsb;
-mod tsb;
-
-pub use etsb::EtsbRnn;
-pub use tsb::TsbRnn;
+//! The paper's two neural architectures (§4.3) as one model type,
+//! [`AnyModel`](crate::model::AnyModel).
+//!
+//! TSB-RNN (§4.3.1) is one sequence path — characters → embedding →
+//! two-stacked bidirectional RNN (64 units/direction) — feeding the
+//! classification head Dense(32, ReLU) → BatchNorm → Dense(2, softmax).
+//! ETSB-RNN (§4.3.2) concatenates two more inputs before the same head:
+//! a second sequence path (attribute id → embedding → two-stacked BiRNN,
+//! 8 units/direction) and the `length_norm` scalar → Dense(64, ReLU).
+//! The [`ModelKind`] given to
+//! [`AnyModel::new`](crate::model::AnyModel::new) decides which inputs
+//! exist; everything else is shared code.
+//!
+//! Sequence execution is batch-major: each deterministic fold shard of a
+//! training batch (or prediction set) packs its cells into one
+//! length-bucketed [`etsb_nn::SeqBatch`] per path — the attribute path is
+//! a rectangular batch of length-1 sequences — and the whole shard runs
+//! through the batched RNN kernels at once. Shard boundaries are a pure
+//! function of the item count, so batch composition — and therefore every
+//! float operation — is identical for any worker count, and the batched
+//! kernels are bitwise identical to the allocating per-sample oracle
+//! (pinned by the tests below).
 
 use crate::config::{CellKind, ModelKind, TrainConfig};
 use crate::encode::EncodedDataset;
 use etsb_nn::{
-    Activation, BatchNorm, BatchNormCache, Dense, DenseCache, GruCell, LstmCell, Param, RnnCell,
-    StackedBiRnn, StackedBiRnnCache,
+    parallel, softmax_cross_entropy, Activation, BatchNorm, BatchNormCache, Dense, DenseCache,
+    Embedding, GruCell, LstmCell, Param, RnnCell, SeqBatch, StackedBiRnn, StackedBiRnnCache,
 };
-use etsb_tensor::{KernelPolicy, Matrix, Workspace};
+use etsb_tensor::{GradBuffer, KernelPolicy, Matrix, Workspace};
 use rand::rngs::StdRng;
 
 /// A cache built by one cell kind was handed to another — an internal
@@ -276,17 +290,139 @@ impl Head {
     }
 }
 
-/// Either architecture behind one interface, so the trainer and pipeline
-/// are model-agnostic.
-// One model exists per experiment; the size difference between the
-// variants' inline headers is irrelevant next to their heap-owned weights.
-#[allow(clippy::large_enum_variant)]
+/// Where a sequence path reads its ids from.
+#[derive(Clone, Copy, Debug)]
+enum PathInput {
+    /// The cell value's character sequence.
+    Chars,
+    /// The cell's attribute id, as a length-1 sequence.
+    Attr,
+}
+
+impl PathInput {
+    /// `(dictionary size, embedding width, hidden units per direction)`
+    /// of this input's path.
+    fn dims(self, data: &EncodedDataset, cfg: &TrainConfig) -> (usize, usize, usize) {
+        match self {
+            PathInput::Chars => {
+                let vocab = data.char_index.vocab_size();
+                // §3.1: the embedding width defaults to the dictionary size.
+                (vocab, cfg.embed_dim.unwrap_or(vocab), cfg.rnn_units)
+            }
+            PathInput::Attr => {
+                // The attribute dictionary plays the role of the value
+                // dictionary for the metadata path: its embedding width
+                // defaults to its size.
+                let n_attrs = data.attr_index.len().max(1);
+                (n_attrs, n_attrs, cfg.attr_rnn_units)
+            }
+        }
+    }
+}
+
+/// One recurrent input path: an embedding feeding a two-stacked
+/// bidirectional encoder. TSB-RNN has the character path only; ETSB-RNN
+/// adds the attribute path.
 #[derive(Debug)]
-pub enum AnyModel {
-    /// Two-Stacked Bidirectional RNN.
-    Tsb(TsbRnn),
-    /// Enriched Two-Stacked Bidirectional RNN.
-    Etsb(EtsbRnn),
+struct SeqPath {
+    input: PathInput,
+    embedding: Embedding,
+    rnn: AnyStacked,
+}
+
+/// One path's share of an encoded shard: the packed layout, the layer
+/// cache (packed-row semantics, holding everything backward needs) and
+/// the per-sample feature rows in shard-local original order.
+struct PathEnc {
+    sb: SeqBatch,
+    cache: AnyStackedCache,
+    feats: Matrix,
+}
+
+impl SeqPath {
+    /// The id sequence of each of `cells`, in order.
+    fn seqs<'a>(&self, data: &'a EncodedDataset, cells: &[usize]) -> Vec<&'a [usize]> {
+        cells
+            .iter()
+            .map(|&c| match self.input {
+                PathInput::Chars => data.sequences[c].as_slice(),
+                PathInput::Attr => std::slice::from_ref(&data.attr_ids[c]),
+            })
+            .collect()
+    }
+
+    /// Encode a non-empty shard of cells batch-major: pack the
+    /// embeddings timestep-major into `packed` and run the stacked
+    /// encoder batched. `packed` and `ws` are scratch shared by the paths
+    /// of a shard.
+    fn encode(
+        &self,
+        data: &EncodedDataset,
+        cells: &[usize],
+        packed: &mut Matrix,
+        ws: &mut Workspace,
+        policy: KernelPolicy,
+    ) -> PathEnc {
+        let seqs = self.seqs(data, cells);
+        let lengths: Vec<usize> = seqs.iter().map(|s| s.len()).collect();
+        // Clamped: a hand-built dataset may carry zero-length sequences
+        // (the normal encoder emits at least one pad step); they occupy
+        // one pad timestep, exactly as if encoded as "".
+        let sb = SeqBatch::from_lengths_clamped(&lengths);
+        self.embedding.lookup_batch_into(&sb, &seqs, packed);
+        let mut cache = self.rnn.empty_cache();
+        let mut feats = Matrix::default();
+        self.rnn
+            .forward_batch_into(packed, &sb, &mut feats, &mut cache, ws, policy);
+        PathEnc { sb, cache, feats }
+    }
+
+    /// Batched backward of the [`SeqPath::encode`] result `enc` for the
+    /// cells whose id sequences are `seqs`, from their feature gradients
+    /// (row `r` belongs to the shard's `r`-th cell): the RNN backward,
+    /// then the embedding backward. Gradients accumulate into `grads`
+    /// ([`SeqPath::params`] order); `grad_packed` and `ws` are scratch
+    /// shared by the paths of a shard.
+    fn backward(
+        &self,
+        seqs: &[&[usize]],
+        enc: &PathEnc,
+        grad_feats: &Matrix,
+        grads: &mut [Matrix],
+        grad_packed: &mut Matrix,
+        ws: &mut Workspace,
+    ) {
+        let (emb_slot, rnn_slots) = grads.split_at_mut(1);
+        self.rnn
+            .backward_batch_into(&enc.sb, &enc.cache, grad_feats, rnn_slots, grad_packed, ws);
+        self.embedding
+            .backward_batch(&enc.sb, seqs, grad_packed, &mut emb_slot[0]);
+    }
+
+    /// Parameters: the embedding, then the RNN (layer1 fwd/bwd, layer2
+    /// fwd/bwd).
+    fn params(&self) -> Vec<&Param> {
+        let mut p = vec![self.embedding.param()];
+        p.extend(self.rnn.params());
+        p
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        let mut p = vec![self.embedding.param_mut()];
+        p.extend(self.rnn.params_mut());
+        p
+    }
+}
+
+/// TSB-RNN or ETSB-RNN (§4.3) behind one interface, so the trainer and
+/// pipeline are model-agnostic: one sequence path per recurrent input
+/// (characters; ETSB adds the attribute id), the `length_norm` dense
+/// (ETSB only) and the shared classification head.
+#[derive(Debug)]
+pub struct AnyModel {
+    paths: Vec<SeqPath>,
+    len_dense: Option<Dense>,
+    head: Head,
 }
 
 impl AnyModel {
@@ -297,38 +433,256 @@ impl AnyModel {
         cfg: &TrainConfig,
         rng: &mut StdRng,
     ) -> Self {
-        match kind {
-            ModelKind::Tsb => AnyModel::Tsb(TsbRnn::new(data, cfg, rng)),
-            ModelKind::Etsb => AnyModel::Etsb(EtsbRnn::new(data, cfg, rng)),
+        let inputs: &[PathInput] = match kind {
+            ModelKind::Tsb => &[PathInput::Chars],
+            ModelKind::Etsb => &[PathInput::Chars, PathInput::Attr],
+        };
+        // Seeded init order: every path's RNN, then every path's
+        // embedding, then the length dense, then the head.
+        let rnns: Vec<AnyStacked> = inputs
+            .iter()
+            .map(|input| {
+                let (_, embed_dim, units) = input.dims(data, cfg);
+                AnyStacked::new(cfg.cell, embed_dim, units, rng)
+            })
+            .collect();
+        let paths: Vec<SeqPath> = inputs
+            .iter()
+            .zip(rnns)
+            .map(|(&input, rnn)| {
+                let (vocab, embed_dim, _) = input.dims(data, cfg);
+                let embedding = Embedding::new(vocab, embed_dim, rng);
+                SeqPath {
+                    input,
+                    embedding,
+                    rnn,
+                }
+            })
+            .collect();
+        let len_dense = (kind == ModelKind::Etsb)
+            .then(|| Dense::new(1, cfg.length_dense_dim, Activation::Relu, rng));
+        let feature_dim = paths.iter().map(|p| p.rnn.output_dim()).sum::<usize>()
+            + len_dense.as_ref().map_or(0, Dense::output_dim);
+        let head = Head::new(feature_dim, cfg.head_dim, rng);
+        Self {
+            paths,
+            len_dense,
+            head,
         }
+    }
+
+    /// Concatenated width of the sequence paths' features.
+    fn seq_dim(&self) -> usize {
+        self.paths.iter().map(|p| p.rnn.output_dim()).sum()
+    }
+
+    /// Width of the head's input: the sequence paths, then the length
+    /// features.
+    fn feature_dim(&self) -> usize {
+        self.seq_dim() + self.len_dense.as_ref().map_or(0, Dense::output_dim)
+    }
+
+    /// Encode one shard of cells batch-major on every sequence path, in
+    /// path order; empty for an empty trailing shard (the packed layout
+    /// requires at least one sample). One workspace and one packed buffer
+    /// serve all paths of the shard.
+    fn encode_shard(
+        &self,
+        data: &EncodedDataset,
+        cells: &[usize],
+        policy: KernelPolicy,
+    ) -> Vec<PathEnc> {
+        if cells.is_empty() {
+            return Vec::new();
+        }
+        let mut ws = Workspace::new();
+        let mut packed = Matrix::default();
+        self.paths
+            .iter()
+            .map(|path| path.encode(data, cells, &mut packed, &mut ws, policy))
+            .collect()
+    }
+
+    /// The length path over `cells` (ETSB only): one batched dense pass
+    /// on the `n x 1` matrix of their `length_norm` values.
+    fn len_forward(&self, data: &EncodedDataset, cells: &[usize]) -> Option<(Matrix, DenseCache)> {
+        self.len_dense.as_ref().map(|dense| {
+            dense.forward(Matrix::from_fn(cells.len(), 1, |r, _| {
+                data.length_norms[cells[r]]
+            }))
+        })
+    }
+
+    /// The head's `n x feature_dim` input: per cell, each path's feature
+    /// row in path order, then its length features. Row `r` belongs to
+    /// the `r`-th cell of the concatenated shards.
+    fn features(&self, n: usize, encs: &[Vec<PathEnc>], len_feats: Option<&Matrix>) -> Matrix {
+        let mut features = Matrix::zeros(n, self.feature_dim());
+        let mut row = 0usize;
+        for enc in encs {
+            for r in 0..enc.first().map_or(0, |p| p.feats.rows()) {
+                let out = features.row_mut(row);
+                let mut col = 0usize;
+                for path in enc {
+                    let f = path.feats.row(r);
+                    out[col..col + f.len()].copy_from_slice(f);
+                    col += f.len();
+                }
+                if let Some(len) = len_feats {
+                    out[col..].copy_from_slice(len.row(row));
+                }
+                row += 1;
+            }
+        }
+        features
     }
 
     /// One training step over a batch of cell indices: forward, loss,
     /// backward. Gradients *accumulate* into `grads` (shaped by
-    /// [`AnyModel::grad_buffer`]; the caller owns zeroing and the
-    /// optimizer step). Per-sample sequence paths shard across threads
-    /// with a fixed, worker-independent merge order, so results are
-    /// bitwise-identical for any thread count. Returns the mean batch
-    /// loss.
+    /// [`AnyModel::grad_buffer`], [`AnyModel::params`] order; the caller
+    /// owns zeroing and the optimizer step). Returns the mean batch loss.
+    ///
+    /// The sequence paths run batch-major: one packed batch per path per
+    /// deterministic fold shard, forward and backward, with per-shard
+    /// gradient buffers merged in fixed shard order (empty trailing
+    /// shards contribute zeroed buffers). The batch-coupled length dense
+    /// and head (BatchNorm statistics) stay on merged batch matrices.
+    /// Results are bitwise identical to the allocating per-sample oracle
+    /// for any worker count.
     pub fn train_batch(
         &mut self,
         data: &EncodedDataset,
         batch: &[usize],
-        grads: &mut etsb_tensor::GradBuffer,
+        grads: &mut GradBuffer,
     ) -> f32 {
-        match self {
-            AnyModel::Tsb(m) => m.train_batch(data, batch, grads),
-            AnyModel::Etsb(m) => m.train_batch(data, batch, grads),
+        assert!(!batch.is_empty(), "AnyModel::train_batch: empty batch");
+        assert_eq!(
+            grads.len(),
+            self.params().len(),
+            "AnyModel::train_batch: gradient slot count"
+        );
+        let n = batch.len();
+        let forward_span = etsb_obs::obs_span!("forward", "samples" => n);
+        let len = self.len_forward(data, batch);
+        let encs = parallel::parallel_map_shards(n, |_, range| {
+            self.encode_shard(data, &batch[range], KernelPolicy::Exact)
+        });
+        let features = self.features(n, &encs, len.as_ref().map(|(f, _)| f));
+        if etsb_obs::enabled() {
+            // Occupancy of the character path (path 0).
+            let (rows, steps) = encs
+                .iter()
+                .filter_map(|e| e.first())
+                .fold((0usize, 0usize), |(rows, steps), p| {
+                    (rows + p.sb.total_rows(), steps + p.sb.t_max())
+                });
+            if steps > 0 {
+                etsb_obs::gauge("batch_occupancy", rows as f64 / steps as f64);
+            }
         }
+
+        let labels: Vec<usize> = batch.iter().map(|&c| usize::from(data.labels[c])).collect();
+        let (logits, head_cache) = self.head.forward_train(features);
+        let loss = softmax_cross_entropy(&logits, &labels);
+        drop(forward_span);
+
+        // Slot layout: sequence paths, then the length dense, then the head.
+        let path_slots: Vec<usize> = self.paths.iter().map(|p| p.params().len()).collect();
+        let seq_shapes: Vec<(usize, usize)> = self
+            .paths
+            .iter()
+            .flat_map(SeqPath::params)
+            .map(|p| p.value.shape())
+            .collect();
+        let seq_slots = seq_shapes.len();
+        let head_start = seq_slots + self.len_dense.as_ref().map_or(0, |d| d.params().len());
+        let _backward_span = etsb_obs::span("backward");
+        let grad_features = self.head.backward(
+            &head_cache,
+            &loss.grad_logits,
+            &mut grads.slots_mut()[head_start..],
+        );
+
+        // Batched backward, one shard per packed batch, each shard
+        // accumulating into its own buffer over the sequence-path slots.
+        // The batched kernels replay weight gradients per sample in shard
+        // order, and shard buffers merge in fixed shard order, so the
+        // result is bitwise identical to per-sample backward for any
+        // worker count.
+        let shard_grads = parallel::parallel_map_shards(n, |s, range| {
+            let mut acc = GradBuffer::from_shapes(seq_shapes.iter().copied());
+            let mut ws_bytes = 0usize;
+            if !encs[s].is_empty() {
+                let cells = &batch[range.clone()];
+                let mut ws = Workspace::new();
+                let mut grad_packed = Matrix::default();
+                let (mut col, mut slot) = (0usize, 0usize);
+                for ((path, enc), &n_slots) in self.paths.iter().zip(&encs[s]).zip(&path_slots) {
+                    let dim = path.rnn.output_dim();
+                    let mut gf = Matrix::zeros(range.len(), dim);
+                    for (r, orig) in range.clone().enumerate() {
+                        gf.row_mut(r)
+                            .copy_from_slice(&grad_features.row(orig)[col..col + dim]);
+                    }
+                    path.backward(
+                        &path.seqs(data, cells),
+                        enc,
+                        &gf,
+                        &mut acc.slots_mut()[slot..slot + n_slots],
+                        &mut grad_packed,
+                        &mut ws,
+                    );
+                    col += dim;
+                    slot += n_slots;
+                }
+                ws_bytes = ws.pooled_bytes();
+            }
+            (acc, ws_bytes)
+        });
+        if etsb_obs::enabled() {
+            let bytes: usize = shard_grads.iter().map(|(_, b)| b).sum();
+            etsb_obs::gauge("workspace_bytes", bytes as f64);
+        }
+        let mut iter = shard_grads.into_iter().map(|(acc, _)| acc);
+        if let Some(mut total) = iter.next() {
+            for b in iter {
+                total.merge(&b);
+            }
+            for (slot, merged) in grads.slots_mut()[..seq_slots].iter_mut().zip(total.slots()) {
+                slot.add_assign(merged);
+            }
+        }
+
+        // Length path gradient on the merged batch matrix.
+        if let (Some(dense), Some((_, len_cache))) = (&self.len_dense, &len) {
+            let seq_dim = self.seq_dim();
+            let mut grad_len = Matrix::zeros(n, dense.output_dim());
+            for row in 0..n {
+                grad_len
+                    .row_mut(row)
+                    .copy_from_slice(&grad_features.row(row)[seq_dim..]);
+            }
+            let _ = dense.backward(
+                len_cache,
+                &grad_len,
+                &mut grads.slots_mut()[seq_slots..head_start],
+            );
+        }
+        loss.loss
     }
 
     /// A zeroed gradient buffer matching this model's parameter list.
-    pub fn grad_buffer(&self) -> etsb_tensor::GradBuffer {
+    pub fn grad_buffer(&self) -> GradBuffer {
         etsb_nn::grad_buffer_for(&self.params())
     }
 
     /// Error probability (class-1 softmax output) per requested cell,
-    /// evaluation mode, parallel across cells.
+    /// evaluation mode, parallel across cells, under an explicit
+    /// [`KernelPolicy`]: `Exact` is the bitwise reference path;
+    /// `FastMath` routes the batched sequence encoders through the fused
+    /// inference kernels (epsilon-close probabilities, see the fast-math
+    /// equivalence suite). The head and memoization logic are shared
+    /// either way.
     ///
     /// Duplicate cells are memoized: cells sharing a [`memo_key`] (same
     /// attribute, same character sequence, same normalized length — i.e.
@@ -337,15 +691,6 @@ impl AnyModel {
     /// forward passes without changing a single bit of the output: the
     /// evaluation head is row-independent, so a representative's
     /// probability is identical whichever batch it is computed in.
-    pub fn predict_probs(&self, data: &EncodedDataset, cells: &[usize]) -> Vec<f32> {
-        self.predict_probs_with(data, cells, KernelPolicy::Exact)
-    }
-
-    /// [`AnyModel::predict_probs`] under an explicit [`KernelPolicy`]:
-    /// `Exact` is the bitwise reference path; `FastMath` routes the
-    /// batched sequence encoders through the fused inference kernels
-    /// (epsilon-close probabilities, see the fast-math equivalence
-    /// suite). The head and memoization logic are shared either way.
     pub fn predict_probs_with(
         &self,
         data: &EncodedDataset,
@@ -456,16 +801,36 @@ impl AnyModel {
     /// and all. [`AnyModel::predict_probs_with`] reduces to this on the
     /// deduplicated representatives; tests compare the two for bitwise
     /// equality.
+    ///
+    /// Batch-major like training: each fold shard of the requested cells
+    /// packs into one batch per sequence path, so inference shares the
+    /// training hot path. `Exact` keeps the bitwise contract, `FastMath`
+    /// runs the batched sequence encoders on the fused inference kernels.
     pub fn predict_probs_direct_with(
         &self,
         data: &EncodedDataset,
         cells: &[usize],
         policy: KernelPolicy,
     ) -> Vec<f32> {
-        match self {
-            AnyModel::Tsb(m) => m.predict_probs_with(data, cells, policy),
-            AnyModel::Etsb(m) => m.predict_probs_with(data, cells, policy),
+        if cells.is_empty() {
+            // Zero cells means zero forward passes: never reach the
+            // batch-packing, length-dense or head kernels empty.
+            return Vec::new();
         }
+        let n = cells.len();
+        let encs = parallel::parallel_map_shards(n, |_, range| {
+            self.encode_shard(data, &cells[range], policy)
+        });
+        let len = self.len_forward(data, cells);
+        let features = self.features(n, &encs, len.as_ref().map(|(f, _)| f));
+        let logits = self.head.forward_eval(&features);
+        (0..n)
+            .map(|r| {
+                let mut row = logits.row(r).to_vec();
+                etsb_tensor::softmax_inplace(&mut row);
+                row[1]
+            })
+            .collect()
     }
 
     /// Hard predictions at threshold 0.5.
@@ -487,20 +852,31 @@ impl AnyModel {
             .collect()
     }
 
-    /// All parameters in stable order.
+    /// All parameters in stable order: each sequence path's embedding and
+    /// 12 RNN slots (layer1 fwd/bwd, layer2 fwd/bwd), then the length
+    /// dense (ETSB only), then the head — 19 slots for TSB, 34 for ETSB.
     pub fn params(&self) -> Vec<&Param> {
-        match self {
-            AnyModel::Tsb(m) => m.params(),
-            AnyModel::Etsb(m) => m.params(),
+        let mut p: Vec<&Param> = self.paths.iter().flat_map(SeqPath::params).collect();
+        if let Some(dense) = &self.len_dense {
+            p.extend(dense.params());
         }
+        p.extend(self.head.params());
+        p
     }
 
     /// Mutable parameters in the same order.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        match self {
-            AnyModel::Tsb(m) => m.params_mut(),
-            AnyModel::Etsb(m) => m.params_mut(),
+        let Self {
+            paths,
+            len_dense,
+            head,
+        } = self;
+        let mut p: Vec<&mut Param> = paths.iter_mut().flat_map(SeqPath::params_mut).collect();
+        if let Some(dense) = len_dense {
+            p.extend(dense.params_mut());
         }
+        p.extend(head.params_mut());
+        p
     }
 
     /// Total trainable weights.
@@ -510,18 +886,12 @@ impl AnyModel {
 
     /// Non-trainable buffers (BatchNorm running statistics).
     pub fn buffers(&self) -> Vec<&Matrix> {
-        match self {
-            AnyModel::Tsb(m) => m.buffers(),
-            AnyModel::Etsb(m) => m.buffers(),
-        }
+        self.head.buffers()
     }
 
     /// Mutable buffers in the same order.
     pub fn buffers_mut(&mut self) -> Vec<&mut Matrix> {
-        match self {
-            AnyModel::Tsb(m) => m.buffers_mut(),
-            AnyModel::Etsb(m) => m.buffers_mut(),
-        }
+        self.head.buffers_mut()
     }
 
     /// Serialize current weights *and* the evaluation-mode buffers
@@ -783,15 +1153,18 @@ mod tests {
         let mut rng = seeded_rng(3);
         let mut model = AnyModel::new(ModelKind::Tsb, &data, &cfg, &mut rng);
         let snap = model.snapshot();
-        let before = model.predict_probs(&data, &[0, 1, 2]);
+        let before = model.predict_probs_with(&data, &[0, 1, 2], KernelPolicy::Exact);
         // Perturb, then restore.
         for p in model.params_mut() {
             p.value.map_inplace(|x| x + 0.1);
         }
-        let perturbed = model.predict_probs(&data, &[0, 1, 2]);
+        let perturbed = model.predict_probs_with(&data, &[0, 1, 2], KernelPolicy::Exact);
         assert_ne!(before, perturbed);
         model.restore(&snap).unwrap();
-        assert_eq!(before, model.predict_probs(&data, &[0, 1, 2]));
+        assert_eq!(
+            before,
+            model.predict_probs_with(&data, &[0, 1, 2], KernelPolicy::Exact)
+        );
     }
 
     /// Every cell kind must train end-to-end (the ablation_cells bench
@@ -858,7 +1231,9 @@ mod tests {
         };
         for kind in [ModelKind::Tsb, ModelKind::Etsb] {
             let model = AnyModel::new(kind, &data, &cfg, &mut seeded_rng(7));
-            assert!(model.predict_probs(&data, &[]).is_empty());
+            assert!(model
+                .predict_probs_with(&data, &[], KernelPolicy::Exact)
+                .is_empty());
             assert!(model
                 .predict_probs_direct_with(&data, &[], KernelPolicy::Exact)
                 .is_empty());
@@ -914,7 +1289,7 @@ mod tests {
         let cells: Vec<usize> = (0..data.n_cells()).collect();
         for kind in [ModelKind::Tsb, ModelKind::Etsb] {
             let model = AnyModel::new(kind, &data, &cfg, &mut seeded_rng(11));
-            let plain = model.predict_probs(&data, &cells);
+            let plain = model.predict_probs_with(&data, &cells, KernelPolicy::Exact);
             let mut cache = PredictCache::new(1024);
             let cold =
                 model.predict_probs_cached_with(&data, &cells, &mut cache, KernelPolicy::Exact);
@@ -926,5 +1301,261 @@ mod tests {
             assert!(stats.hits > 0, "{kind:?}: second pass should hit");
             assert!(stats.len <= 1024);
         }
+    }
+
+    /// One config for both kinds; TSB ignores the attribute and length
+    /// widths.
+    fn small_cfg() -> TrainConfig {
+        TrainConfig {
+            rnn_units: 6,
+            attr_rnn_units: 3,
+            head_dim: 6,
+            length_dense_dim: 4,
+            ..Default::default()
+        }
+    }
+
+    /// The pre-batching training step, reproduced exactly: allocating
+    /// per-sample forward/backward calls on every sequence path (in path
+    /// order), sharded with [`parallel::fold_shards`] boundaries and
+    /// merged in shard order. The batched `train_batch` must match this
+    /// bit for bit.
+    // The index drives `caches`, `grad_features` rows and the shard
+    // arithmetic together; an iterator chain would obscure the replayed order.
+    #[allow(clippy::needless_range_loop)]
+    fn reference_train_batch(
+        model: &mut AnyModel,
+        data: &EncodedDataset,
+        batch: &[usize],
+        grads: &mut GradBuffer,
+    ) -> f32 {
+        let n = batch.len();
+        let len = model.len_forward(data, batch);
+        let mut features = Matrix::zeros(n, model.feature_dim());
+        let mut caches = Vec::with_capacity(n);
+        for (row, &cell) in batch.iter().enumerate() {
+            let out = features.row_mut(row);
+            let mut col = 0usize;
+            let mut cell_caches = Vec::with_capacity(model.paths.len());
+            for path in &model.paths {
+                let (embedded, emb_cache) = path.embedding.forward(path.seqs(data, &[cell])[0]);
+                let (feat, rnn_cache) = path.rnn.forward(embedded);
+                out[col..col + feat.len()].copy_from_slice(&feat);
+                col += feat.len();
+                cell_caches.push((emb_cache, rnn_cache));
+            }
+            if let Some((len_feats, _)) = &len {
+                out[col..].copy_from_slice(len_feats.row(row));
+            }
+            caches.push(cell_caches);
+        }
+        let labels: Vec<usize> = batch.iter().map(|&c| usize::from(data.labels[c])).collect();
+        let (logits, head_cache) = model.head.forward_train(features);
+        let loss = softmax_cross_entropy(&logits, &labels);
+        let head_start = grads.len() - model.head.params().len();
+        let grad_features = model.head.backward(
+            &head_cache,
+            &loss.grad_logits,
+            &mut grads.slots_mut()[head_start..],
+        );
+        let seq_shapes: Vec<(usize, usize)> = model
+            .paths
+            .iter()
+            .flat_map(SeqPath::params)
+            .map(|p| p.value.shape())
+            .collect();
+        let seq_slots = seq_shapes.len();
+        let shards = parallel::fold_shards(n);
+        let chunk = n.div_ceil(shards);
+        let mut bufs = Vec::new();
+        for s in 0..shards {
+            let mut acc = GradBuffer::from_shapes(seq_shapes.iter().copied());
+            for i in (s * chunk).min(n)..((s + 1) * chunk).min(n) {
+                let g = grad_features.row(i);
+                let (mut col, mut slot) = (0usize, 0usize);
+                for (path, (emb_cache, rnn_cache)) in model.paths.iter().zip(&caches[i]) {
+                    let dim = path.rnn.output_dim();
+                    let n_slots = path.params().len();
+                    let slots = &mut acc.slots_mut()[slot..slot + n_slots];
+                    let (emb_slot, rnn_slots) = slots.split_at_mut(1);
+                    let grad_embedded = path.rnn.backward(rnn_cache, &g[col..col + dim], rnn_slots);
+                    path.embedding
+                        .backward(emb_cache, &grad_embedded, &mut emb_slot[0]);
+                    col += dim;
+                    slot += n_slots;
+                }
+            }
+            bufs.push(acc);
+        }
+        let mut iter = bufs.into_iter();
+        // At least one shard exists for a non-empty batch.
+        if let Some(mut total) = iter.next() {
+            for b in iter {
+                total.merge(&b);
+            }
+            for (slot, merged) in grads.slots_mut()[..seq_slots].iter_mut().zip(total.slots()) {
+                slot.add_assign(merged);
+            }
+        }
+        if let (Some(dense), Some((_, len_cache))) = (&model.len_dense, &len) {
+            let seq_dim = model.seq_dim();
+            let mut grad_len = Matrix::zeros(n, dense.output_dim());
+            for row in 0..n {
+                grad_len
+                    .row_mut(row)
+                    .copy_from_slice(&grad_features.row(row)[seq_dim..]);
+            }
+            let _ = dense.backward(
+                len_cache,
+                &grad_len,
+                &mut grads.slots_mut()[seq_slots..head_start],
+            );
+        }
+        loss.loss
+    }
+
+    /// The batched shard path must produce the exact same loss, gradients
+    /// (every slot) and subsequent predictions as the allocating per-sample
+    /// oracle, on a batch with thoroughly mixed lengths.
+    fn assert_batched_train_matches_reference(kind: ModelKind, seed: u64) {
+        let data = marked_dataset(30);
+        let batch: Vec<usize> = (0..data.n_cells()).collect();
+        let mut batched = AnyModel::new(kind, &data, &small_cfg(), &mut seeded_rng(seed));
+        let mut reference = AnyModel::new(kind, &data, &small_cfg(), &mut seeded_rng(seed));
+
+        let mut grads_b = batched.grad_buffer();
+        let mut grads_r = reference.grad_buffer();
+        let loss_b = batched.train_batch(&data, &batch, &mut grads_b);
+        let loss_r = reference_train_batch(&mut reference, &data, &batch, &mut grads_r);
+        assert_eq!(
+            loss_b.to_bits(),
+            loss_r.to_bits(),
+            "{kind:?}: loss diverged"
+        );
+        for i in 0..grads_b.len() {
+            assert_eq!(
+                grads_b.slot(i).as_slice(),
+                grads_r.slot(i).as_slice(),
+                "{kind:?}: gradient slot {i} diverged"
+            );
+        }
+        // Predictions after one optimizer-free step must agree too (the
+        // BatchNorm running statistics advanced identically).
+        let probs_b = batched.predict_probs_direct_with(&data, &batch, KernelPolicy::Exact);
+        let probs_r = reference.predict_probs_direct_with(&data, &batch, KernelPolicy::Exact);
+        assert_eq!(probs_b, probs_r, "{kind:?}: predictions diverged");
+    }
+
+    #[test]
+    fn tsb_batched_train_matches_per_sample_reference_bitwise() {
+        assert_batched_train_matches_reference(ModelKind::Tsb, 5);
+    }
+
+    #[test]
+    fn etsb_batched_train_matches_per_sample_reference_bitwise() {
+        assert_batched_train_matches_reference(ModelKind::Etsb, 7);
+    }
+
+    #[test]
+    fn predict_probs_are_probabilities() {
+        let data = marked_dataset(20);
+        let cells: Vec<usize> = (0..data.n_cells()).collect();
+        for kind in [ModelKind::Tsb, ModelKind::Etsb] {
+            let model = AnyModel::new(kind, &data, &small_cfg(), &mut seeded_rng(1));
+            let probs = model.predict_probs_direct_with(&data, &cells, KernelPolicy::Exact);
+            assert_eq!(probs.len(), data.n_cells());
+            assert!(
+                probs.iter().all(|&p| (0.0..=1.0).contains(&p)),
+                "{kind:?}: {probs:?}"
+            );
+        }
+    }
+
+    fn assert_train_batch_reduces_loss(kind: ModelKind, seed: u64) {
+        use etsb_nn::{Optimizer, Rmsprop};
+        let data = marked_dataset(30);
+        let batch: Vec<usize> = (0..data.n_cells()).collect();
+        let mut model = AnyModel::new(kind, &data, &small_cfg(), &mut seeded_rng(seed));
+        let mut opt = Rmsprop::new(3e-3);
+        let mut grads = model.grad_buffer();
+        let first = model.train_batch(&data, &batch, &mut grads);
+        let mut last = first;
+        for _ in 0..60 {
+            grads.zero();
+            last = model.train_batch(&data, &batch, &mut grads);
+            opt.step(&mut model.params_mut(), &grads);
+        }
+        assert!(last < first * 0.5, "{kind:?}: loss {first} -> {last}");
+    }
+
+    #[test]
+    fn tsb_train_batch_reduces_loss() {
+        assert_train_batch_reduces_loss(ModelKind::Tsb, 2);
+    }
+
+    #[test]
+    fn etsb_train_batch_reduces_loss() {
+        assert_train_batch_reduces_loss(ModelKind::Etsb, 3);
+    }
+
+    #[test]
+    fn gradient_accumulates_across_calls() {
+        let data = marked_dataset(12);
+        let mut model = AnyModel::new(ModelKind::Tsb, &data, &small_cfg(), &mut seeded_rng(3));
+        let mut grads = model.grad_buffer();
+        let _ = model.train_batch(&data, &[0, 1], &mut grads);
+        let g1 = grads.slot(0).frobenius_norm();
+        let _ = model.train_batch(&data, &[0, 1], &mut grads);
+        let g2 = grads.slot(0).frobenius_norm();
+        assert!(g2 > g1, "gradients should accumulate: {g1} -> {g2}");
+    }
+
+    /// `params` and `params_mut` list the same slots in the same order, and
+    /// the slot count is the one snapshots and detector files are laid out by.
+    fn assert_param_order(kind: ModelKind, slots: usize) {
+        let data = marked_dataset(12);
+        let mut model = AnyModel::new(kind, &data, &small_cfg(), &mut seeded_rng(4));
+        let shapes_a: Vec<_> = model.params().iter().map(|p| p.value.shape()).collect();
+        let shapes_b: Vec<_> = model.params_mut().iter().map(|p| p.value.shape()).collect();
+        assert_eq!(shapes_a, shapes_b, "{kind:?}");
+        assert_eq!(shapes_a.len(), slots, "{kind:?}");
+    }
+
+    #[test]
+    fn tsb_param_order_is_stable() {
+        // 1 embedding + 12 RNN + 6 head (dense w/b, bn γ/β, out w/b).
+        assert_param_order(ModelKind::Tsb, 19);
+    }
+
+    #[test]
+    fn etsb_param_order_is_stable() {
+        // 1 + 12 (char) + 1 + 12 (attr) + 2 (len dense) + 6 (head).
+        assert_param_order(ModelKind::Etsb, 34);
+    }
+
+    #[test]
+    fn feature_dim_composition() {
+        let data = marked_dataset(20);
+        let model = AnyModel::new(ModelKind::Etsb, &data, &small_cfg(), &mut seeded_rng(1));
+        // 2*6 (char) + 2*3 (attr) + 4 (len) = 22.
+        assert_eq!(model.feature_dim(), 22);
+    }
+
+    #[test]
+    fn attribute_information_changes_predictions() {
+        // Same character sequence under different attributes must produce
+        // different probabilities — the whole point of the enrichment.
+        let data = marked_dataset(20);
+        let model = AnyModel::new(ModelKind::Etsb, &data, &small_cfg(), &mut seeded_rng(2));
+        // Cells 0 and 1 belong to attributes 0 and 1. Fake a dataset view
+        // where both carry the same sequence.
+        let mut twin = data.clone();
+        twin.sequences[1] = twin.sequences[0].clone();
+        twin.length_norms[1] = twin.length_norms[0];
+        let probs = model.predict_probs_direct_with(&twin, &[0, 1], KernelPolicy::Exact);
+        assert!(
+            (probs[0] - probs[1]).abs() > 1e-6,
+            "attribute path had no effect: {probs:?}"
+        );
     }
 }

@@ -304,6 +304,7 @@ pub fn load_detector(bytes: &[u8]) -> Result<LoadedDetector, PersistError> {
 mod tests {
     use super::*;
     use crate::model::test_support::{marked_dataset, overfit};
+    use etsb_tensor::KernelPolicy;
 
     fn small_cfg() -> TrainConfig {
         TrainConfig {
@@ -324,12 +325,14 @@ mod tests {
         let _ = overfit(&mut model, &data, 40);
 
         let cells: Vec<usize> = (0..data.n_cells()).collect();
-        let before = model.predict_probs(&data, &cells);
+        let before = model.predict_probs_with(&data, &cells, KernelPolicy::Exact);
 
         let saved = save_detector(&model, ModelKind::Etsb, &cfg, &data);
         let loaded = load_detector(&saved).unwrap();
         assert_eq!(loaded.kind, ModelKind::Etsb);
-        let after = loaded.model.predict_probs(&data, &cells);
+        let after = loaded
+            .model
+            .predict_probs_with(&data, &cells, KernelPolicy::Exact);
         assert_eq!(before, after);
     }
 

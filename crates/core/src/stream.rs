@@ -1,7 +1,9 @@
 //! Chunk-at-a-time streaming detection with O(chunk) memory.
 //!
-//! [`stream_predict`] drives a [`FrameScan`] through the frozen-dict
-//! encoder and [`AnyModel::predict_probs_cached_with`], handing each
+//! [`stream_predict`] drives a [`FrameScan`](etsb_table::scan::FrameScan)
+//! through the frozen-dict encoder and
+//! [`AnyModel::predict_probs_cached_with`](crate::model::AnyModel::predict_probs_cached_with),
+//! handing each
 //! chunk's probabilities to a caller-supplied sink as soon as they are
 //! computed — nothing table-sized is ever resident. Because the batched
 //! evaluation paths are row-independent (a cell's probability does not
@@ -185,7 +187,7 @@ impl ChunkEncoder {
 /// dictionaries, predict, and hand the results to `sink` in input order.
 ///
 /// `char_index`/`attr_index` are the *frozen* dictionaries (from a
-/// trained detector, a persisted vocabulary, or a [`scan_stats`] pass —
+/// trained detector, a persisted vocabulary, or a `scan_stats` pass —
 /// see [`etsb_table::scan::scan_stats`]); the scan's per-attribute
 /// maxima supply the global `length_norm` denominators. The source's
 /// columns must match the attribute dictionary by name and order.

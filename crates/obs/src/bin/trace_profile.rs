@@ -2,7 +2,10 @@
 //! `ETSB_TRACE=jsonl:<path>` trace file.
 //!
 //! Usage:
-//!   trace_profile --trace <trace.jsonl> [--top <n>] [--parents <span>]
+//!
+//! ```text
+//! trace_profile --trace <trace.jsonl> [--top <n>] [--parents <span>]
+//! ```
 //!
 //! Folds every completed span (`span_end` events) into per-span-name
 //! rollups via `etsb_obs::profile::SpanProfile` and prints them sorted

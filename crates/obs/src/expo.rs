@@ -1,5 +1,5 @@
 //! Dependency-free Prometheus text-format exposition of a
-//! [`RegistrySnapshot`](crate::registry::RegistrySnapshot), plus a
+//! [`RegistrySnapshot`], plus a
 //! validator for the emitted format (used by `trace_lint --expo` and the
 //! determinism suite).
 //!

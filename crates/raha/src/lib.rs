@@ -14,14 +14,14 @@
 //!    violations (NADEEF-style) and domain-dictionary lookups
 //!    (KATARA-style; DBpedia replaced by builtin dictionaries — see
 //!    DESIGN.md §5).
-//! 2. **Feature vectors** ([`features`]) — each cell's strategy outputs
+//! 2. **Feature vectors** ([`build_features`]) — each cell's strategy outputs
 //!    form a binary feature vector.
-//! 3. **Clustering** ([`cluster`]) — cells of each column are clustered
+//! 3. **Clustering** ([`cluster_columns`]) — cells of each column are clustered
 //!    by feature-vector similarity (agglomerative, average linkage).
-//! 4. **Sampling & propagation** ([`detector`]) — tuples covering many
+//! 4. **Sampling & propagation** ([`RahaDetector`]) — tuples covering many
 //!    unlabeled clusters are proposed to the user; labels propagate to
 //!    cluster members; a per-column logistic-regression classifier
-//!    ([`classifier`]) generalizes to the rest.
+//!    ([`LogisticRegression`]) generalizes to the rest.
 
 #![warn(missing_docs)]
 

@@ -9,14 +9,14 @@
 //! truth), the [`Repairer`] proposes a correction for each flagged cell
 //! using only information from the dirty data and the *unflagged* cells:
 //!
-//! 1. **Format normalization** ([`normalize`]) — learn the dominant
+//! 1. **Format normalization** ([`normalize_to_shape`]) — learn the dominant
 //!    surface shape of the column's clean cells and strip the deviation
 //!    (unit suffixes like `12.0 oz`, percent signs, thousands separators,
 //!    spurious `.0` decimals, `&`/`and` swaps, leading-zero width fixes),
-//! 2. **Dependency repair** ([`fd`]) — discover approximate functional
+//! 2. **Dependency repair** ([`FdRepairer`]) — discover approximate functional
 //!    dependencies among clean cells and impute the majority value of
 //!    the cell's determining group (Baran-style context repair),
-//! 3. **Typo correction** ([`typo`]) — snap to the nearest frequent clean
+//! 3. **Typo correction** ([`TypoCorrector`]) — snap to the nearest frequent clean
 //!    value of the column within small edit distance,
 //! 4. **Imputation** — fall back to the column's majority clean value for
 //!    missing values in low-cardinality columns.

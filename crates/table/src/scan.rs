@@ -1,7 +1,7 @@
 //! Chunked, shard-at-a-time scanning of a dirty/clean row stream.
 //!
 //! The in-memory path materializes the whole table ([`Table`] →
-//! [`CellFrame`]) before anything is encoded; peak memory is O(table).
+//! [`CellFrame`](crate::CellFrame)) before anything is encoded; peak memory is O(table).
 //! This module is the streaming alternative: a [`RowSource`] yields raw
 //! rows one at a time (from memory, from CSV files, or from a synthetic
 //! generator), [`scan_stats`] makes one cheap pass to collect the two

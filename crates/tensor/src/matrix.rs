@@ -533,7 +533,7 @@ impl Matrix {
 
     /// `self[row_start .. row_start+count] @ other` written into `out`
     /// (reshaped to `count x other.cols`). Output rows are computed four
-    /// at a time through [`Matrix::accumulate_rows4_from`], so each is
+    /// at a time through `Matrix::accumulate_rows4_from`, so each is
     /// bitwise identical to the corresponding [`Matrix::matmul_into`] /
     /// [`Matrix::vecmat`] row while the shared weight-row loads run at
     /// four-row matmul intensity. The window form is what the batched
@@ -833,7 +833,7 @@ impl Matrix {
     }
 
     /// [`Matrix::add_transposed_matmul`] with output rows computed four
-    /// at a time through [`Matrix::accumulate_rows4_from`]: four columns
+    /// at a time through `Matrix::accumulate_rows4_from`: four columns
     /// of `a` are gathered into `cols_scratch` (reshaped to `4 x count`)
     /// and swept against the same `b` row window together, so each loaded
     /// `b` row serves four weight-gradient rows. Per output element the

@@ -17,7 +17,7 @@
 //!   independent per-column chains to 8 lanes. Without fast-math flags
 //!   LLVM may neither reassociate a float add nor contract a
 //!   mul-then-add (and `fma` is not enabled), so the two backends agree
-//!   bit for bit. The exact tanh is [`tanh_exact`], an in-repo port of
+//!   bit for bit. The exact tanh is [`tanh_exact`](crate::simd::tanh_exact), an in-repo port of
 //!   fdlibm's `tanhf` (scalar on `Portable`, branch-free 8-lane on
 //!   `Avx2`), bitwise equal to glibc's `f32::tanh` — Exact bits are a
 //!   property of the repo, not of the host libm.
@@ -25,7 +25,8 @@
 //!   multiply-add kernels — a portable scalar [`f32::mul_add`] fallback
 //!   and an x86-64 AVX2+FMA implementation selected by runtime CPU
 //!   feature detection — and the elementwise tanh through a rational
-//!   FMA approximation ([`tanh_fast`], max abs error 2.4e-7).
+//!   FMA approximation ([`tanh_fast`](crate::simd::tanh_fast), max abs
+//!   error 2.4e-7).
 //!
 //! FastMath results are *not* bitwise comparable to Exact results (FMA
 //! contracts the intermediate rounding step), but they are **backend
@@ -39,9 +40,9 @@
 //!
 //! | policy    | backend                      | kernel                            |
 //! |-----------|------------------------------|-----------------------------------|
-//! | Exact     | [`Backend::Portable`]        | mul-then-add bodies (SSE2 baseline) + scalar fdlibm tanh |
+//! | Exact     | `Backend::Portable`          | mul-then-add bodies (SSE2 baseline) + scalar fdlibm tanh |
 //! | Exact     | `Backend::Avx2` (detected)   | the same bodies compiled for AVX2 + 8-lane fdlibm tanh |
-//! | FastMath  | [`Backend::Portable`]        | scalar [`f32::mul_add`] products + rational tanh |
+//! | FastMath  | `Backend::Portable`          | scalar [`f32::mul_add`] products + rational tanh |
 //! | FastMath  | `Backend::Avx2` (detected)   | AVX2 `_mm256_fmadd_ps` products + 8-lane rational tanh |
 //!
 //! One backend serves both tiers. It is chosen once per process by

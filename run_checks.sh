@@ -7,7 +7,11 @@
 # Gates, in order:
 #   1. cargo fmt --check               -- formatting drift
 #   2. cargo clippy -D warnings        -- compiler + clippy lint floor
-#   3. etsb-check                      -- project-specific invariants
+#   3. rustdoc -D warnings             -- every intra-doc link resolves and
+#                                         no public doc links a private
+#                                         item, so a deleted or renamed
+#                                         type cannot leave broken links
+#   4. etsb-check                      -- project-specific invariants
 #                                         (panic discipline, seeded RNG,
 #                                         shape asserts, doc coverage,
 #                                         hash/float determinism, _into
@@ -16,27 +20,27 @@
 #                                         check_baseline.txt), emitting
 #                                         a JSON report that is then
 #                                         schema-validated
-#   4. cargo test (default features)   -- tier-1 suite
-#   5. cargo test --features sanitize  -- suite again with numeric
+#   5. cargo test (default features)   -- tier-1 suite
+#   6. cargo test --features sanitize  -- suite again with numeric
 #                                         NaN/Inf sanitizer hooks live
-#   6. determinism under ETSB_WORKERS=2 -- sharded backward must stay
+#   7. determinism under ETSB_WORKERS=2 -- sharded backward must stay
 #                                         bitwise-identical when the
 #                                         worker count is forced
-#   7. trace + manifest schema          -- tiny hospital pipeline with
+#   8. trace + manifest schema          -- tiny hospital pipeline with
 #                                         ETSB_TRACE=jsonl:... and
 #                                         --manifest, gated by trace_lint
-#   8. etsb serve smoke                 -- pipe JSONL requests through
+#   9. etsb serve smoke                 -- pipe JSONL requests through
 #                                         `etsb serve --stdin` twice
 #                                         (coalesced vs --max-batch 1),
 #                                         schema-validate the responses
 #                                         and assert byte equality
-#   9. bench smoke + schema             -- bench_summary --smoke writes
+#  10. bench smoke + schema             -- bench_summary --smoke writes
 #                                         BENCH_hotpath.json (the batched
 #                                         forward+backward arm and the
 #                                         exact/fast-math inference
 #                                         arms), then --validate
 #                                         schema-checks it
-#  10. serve_bench smoke + schema        -- serve_bench --smoke writes
+#  11. serve_bench smoke + schema        -- serve_bench --smoke writes
 #                                         BENCH_serve.json (3 load
 #                                         steps, both kernel policies),
 #                                         its RunManifest sidecar and
@@ -44,14 +48,14 @@
 #                                         schema-checks the steps,
 #                                         trace_lint gates the manifest
 #                                         and the Prometheus exposition
-#  11. stream_bench smoke + schema       -- stream_bench --smoke streams
+#  12. stream_bench smoke + schema       -- stream_bench --smoke streams
 #                                         100k synthetic rows per policy
 #                                         at two row counts, asserting
 #                                         the resident-memory gauges do
 #                                         not move; --validate schema-
 #                                         checks BENCH_stream.json and
 #                                         trace_lint gates the manifest
-#  12. forced-portable dispatch          -- fast-math and exact-tier
+#  13. forced-portable dispatch          -- fast-math and exact-tier
 #                                         bitwise suites again with
 #                                         ETSB_KERNELS=portable, so the
 #                                         scalar fallback (the only
@@ -73,6 +77,9 @@ cargo fmt --check
 
 step "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+step "rustdoc -D warnings (cargo doc --workspace --no-deps)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
 step "etsb-check (static invariants + JSON report schema)"
 tmpdir="$(mktemp -d)"

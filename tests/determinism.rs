@@ -5,6 +5,7 @@
 use etsb_core::config::{ExperimentConfig, ModelKind, SamplerKind, TrainConfig};
 use etsb_core::pipeline::run_once;
 use etsb_core::sampling;
+use etsb_core::KernelPolicy;
 use etsb_datasets::{Dataset, GenConfig};
 use etsb_table::CellFrame;
 
@@ -112,7 +113,7 @@ fn training_is_bitwise_identical_across_worker_counts() {
         set_worker_override(workers);
         let mut model = AnyModel::new(ModelKind::Etsb, &data, &cfg, &mut seeded_rng(31));
         let history = train_model(&mut model, &data, &train, &test, &cfg, 17);
-        let probs = model.predict_probs(&data, &cells);
+        let probs = model.predict_probs_with(&data, &cells, KernelPolicy::Exact);
         set_worker_override(0);
         let weights: Vec<Vec<f32>> = model
             .params()
@@ -146,8 +147,8 @@ fn training_is_bitwise_identical_across_worker_counts() {
 /// each must produce the same losses, weights and predictions whether the
 /// shards run serially or on four threads. (The batched-vs-oracle leg of
 /// the equivalence suite, which replays the allocating per-sample
-/// forward/backward one sample at a time, lives next to the models:
-/// `model::tsb` / `model::etsb` `batched_train_matches_per_sample_reference_bitwise`
+/// forward/backward one sample at a time, lives next to the model:
+/// `model::tests::batched_train_matches_per_sample_reference_bitwise`
 /// and the nn-level `batched_paths_are_bitwise_identical_to_per_sample_paths`.)
 #[test]
 fn batched_training_is_worker_invariant_for_every_cell_type() {
@@ -178,7 +179,7 @@ fn batched_training_is_worker_invariant_for_every_cell_type() {
             set_worker_override(workers);
             let mut model = AnyModel::new(ModelKind::Tsb, &data, &cfg, &mut seeded_rng(53));
             let history = train_model(&mut model, &data, &train, &test, &cfg, 29);
-            let probs = model.predict_probs(&data, &cells);
+            let probs = model.predict_probs_with(&data, &cells, KernelPolicy::Exact);
             set_worker_override(0);
             let weights: Vec<Vec<f32>> = model
                 .params()
@@ -312,7 +313,6 @@ fn training_is_bitwise_identical_with_tracing_on() {
 fn memoized_predict_is_bitwise_identical_to_direct() {
     use etsb_core::encode::EncodedDataset;
     use etsb_core::model::{memo_key, AnyModel};
-    use etsb_core::KernelPolicy;
     use etsb_nn::parallel::set_worker_override;
     use etsb_tensor::init::seeded_rng;
     use std::collections::HashSet;
@@ -343,10 +343,10 @@ fn memoized_predict_is_bitwise_identical_to_direct() {
         let model = AnyModel::new(kind, &data, &cfg, &mut seeded_rng(37));
         set_worker_override(1);
         let direct_1 = model.predict_probs_direct_with(&data, &cells, KernelPolicy::Exact);
-        let memo_1 = model.predict_probs(&data, &cells);
+        let memo_1 = model.predict_probs_with(&data, &cells, KernelPolicy::Exact);
         set_worker_override(4);
         let direct_4 = model.predict_probs_direct_with(&data, &cells, KernelPolicy::Exact);
-        let memo_4 = model.predict_probs(&data, &cells);
+        let memo_4 = model.predict_probs_with(&data, &cells, KernelPolicy::Exact);
         set_worker_override(0);
         assert_eq!(memo_1, direct_1, "{kind:?}: memoization changed bits");
         assert_eq!(direct_1, direct_4, "{kind:?}: workers changed direct bits");
@@ -496,7 +496,7 @@ fn metrics_registry_never_changes_model_outputs() {
         set_metrics_enabled(metrics);
         let mut model = AnyModel::new(ModelKind::Etsb, &data, &cfg, &mut seeded_rng(41));
         let history = train_model(&mut model, &data, &train, &test, &cfg, 43);
-        let probs = model.predict_probs(&data, &cells);
+        let probs = model.predict_probs_with(&data, &cells, KernelPolicy::Exact);
         set_metrics_enabled(false);
         let weights: Vec<Vec<f32>> = model
             .params()
@@ -525,19 +525,73 @@ fn metrics_registry_never_changes_model_outputs() {
     assert!(shards.count > 0, "no shards timed");
 }
 
-/// Golden bits of the Exact tier: a small fixed ETSB training run plus
-/// exact predictions, folded into one hash of the loss and probability
-/// bit patterns. The pin was computed before the exact kernels were
-/// AVX2-dispatched and the libm tanh was replaced by the in-repo port,
-/// so it holds only if neither change moved a bit — on the detected
-/// backend and under `ETSB_KERNELS=portable` alike. Hidden widths of 20
-/// and 9 leave sub-register tails in every 8-lane kernel.
+/// Golden bits of the Exact tier, for both architectures and every cell
+/// kind: a small fixed training run plus exact predictions, folded into
+/// one hash of the loss and probability bit patterns, and an FNV-1a 64
+/// hash of the saved detector file, which pins the parameter order and
+/// the file format. The vanilla ETSB training pin was computed before the
+/// exact kernels were AVX2-dispatched and the libm tanh was replaced by
+/// the in-repo port; the other rows were computed before TSB and ETSB
+/// became one model type. They hold only if no later change moved a bit —
+/// on the detected backend and under `ETSB_KERNELS=portable` alike.
+/// Hidden widths of 20 and 9 leave sub-register tails in every 8-lane
+/// kernel.
 #[test]
 fn exact_training_reproduces_golden_bits() {
+    use etsb_core::config::CellKind;
     use etsb_core::encode::EncodedDataset;
     use etsb_core::model::AnyModel;
+    use etsb_core::persist::save_detector;
     use etsb_core::train::train_model;
     use etsb_tensor::init::seeded_rng;
+
+    // (model, cell, training+prediction hash, detector-file hash, file bytes)
+    const GOLDEN: [(ModelKind, CellKind, u64, u64, usize); 6] = [
+        (
+            ModelKind::Etsb,
+            CellKind::Vanilla,
+            0x5001_9a18_cde7_b9cc,
+            0xbb66_5809_f9c6_a1ba,
+            24_875,
+        ),
+        (
+            ModelKind::Tsb,
+            CellKind::Vanilla,
+            0x96a9_a2fc_d820_0ce3,
+            0xb7b9_6aba_2d42_a442,
+            19_535,
+        ),
+        (
+            ModelKind::Etsb,
+            CellKind::Lstm,
+            0x5866_f8b9_6e4b_ca0d,
+            0x48de_6856_7b23_c58a,
+            78_659,
+        ),
+        (
+            ModelKind::Tsb,
+            CellKind::Lstm,
+            0x7ebe_cb90_6b46_373e,
+            0xbfd7_1a73_c7fb_4c70,
+            62_735,
+        ),
+        (
+            ModelKind::Etsb,
+            CellKind::Gru,
+            0xbdb6_1076_c7b2_1fff,
+            0x8fcb_ba28_85bf_fdff,
+            60_731,
+        ),
+        (
+            ModelKind::Tsb,
+            CellKind::Gru,
+            0x9c67_bbeb_c995_a4ee,
+            0x387e_e745_f591_b5e0,
+            48_335,
+        ),
+    ];
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
     let pair = Dataset::Beers
         .generate(&GenConfig {
@@ -549,30 +603,42 @@ fn exact_training_reproduces_golden_bits() {
     let data = EncodedDataset::from_frame(&frame);
     let sample = sampling::diver_set(&frame, 10, 3);
     let (train, test) = data.split_by_tuples(&sample);
-    let cfg = TrainConfig {
-        rnn_units: 20,
-        attr_rnn_units: 9,
-        head_dim: 12,
-        ..tiny_cfg().train
-    };
-    let mut model = AnyModel::new(ModelKind::Etsb, &data, &cfg, &mut seeded_rng(41));
-    let history = train_model(&mut model, &data, &train, &test, &cfg, 23);
     let cells: Vec<usize> = (0..data.n_cells()).collect();
-    let probs = model.predict_probs(&data, &cells);
-    let hash = history
-        .train_loss
-        .iter()
-        .chain(&probs)
-        .fold(0xcbf2_9ce4_8422_2325_u64, |h, x| {
-            (h ^ u64::from(x.to_bits())).wrapping_mul(0x0000_0100_0000_01b3)
+    for (kind, cell, golden_bits, golden_file, file_len) in GOLDEN {
+        let cfg = TrainConfig {
+            rnn_units: 20,
+            attr_rnn_units: 9,
+            head_dim: 12,
+            cell,
+            ..tiny_cfg().train
+        };
+        let mut model = AnyModel::new(kind, &data, &cfg, &mut seeded_rng(41));
+        let history = train_model(&mut model, &data, &train, &test, &cfg, 23);
+        let probs = model.predict_probs_with(&data, &cells, KernelPolicy::Exact);
+        assert_eq!(
+            (history.train_loss.len(), probs.len()),
+            (6, 792),
+            "{kind:?}/{cell:?}: workload shape changed; the golden hashes no longer apply"
+        );
+        let bits = history
+            .train_loss
+            .iter()
+            .chain(&probs)
+            .fold(FNV_OFFSET, |h, x| {
+                (h ^ u64::from(x.to_bits())).wrapping_mul(FNV_PRIME)
+            });
+        assert_eq!(
+            bits, golden_bits,
+            "{kind:?}/{cell:?}: exact training/prediction bits drifted from the golden run"
+        );
+        let file = save_detector(&model, kind, &cfg, &data);
+        let file_hash = file.iter().fold(FNV_OFFSET, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
         });
-    assert_eq!(
-        (history.train_loss.len(), probs.len()),
-        (6, 792),
-        "workload shape changed; the golden hash no longer applies"
-    );
-    assert_eq!(
-        hash, 0x5001_9a18_cde7_b9cc,
-        "exact training/prediction bits drifted from the golden run"
-    );
+        assert_eq!(
+            (file.len(), file_hash),
+            (file_len, golden_file),
+            "{kind:?}/{cell:?}: detector file bytes drifted from the golden run"
+        );
+    }
 }
