@@ -416,9 +416,9 @@ impl Rule {
                  read_to_string or fs::read of an input file re-introduces an\n\
                  O(file) allocation that silently undoes that bound the day a\n\
                  table outgrows RAM.\n\
-                 Twin runtime check: the stream_bench gauge assertion (peak\n\
-                 resident bytes identical across row counts) and the\n\
-                 streaming-vs-in-memory equality suite.\n\
+                 Twin runtime check: the tests/streaming_alloc.rs peak\n\
+                 assertion (peak resident bytes identical across row counts)\n\
+                 and the streaming-vs-in-memory equality suite.\n\
                  Fix: open a BufReader and parse incrementally (CsvReader /\n\
                  read_table), or stream through a RowSource.\n\
                  Allow when: the file is bounded by construction — a model\n\

@@ -191,6 +191,13 @@ fn run_detection(
     let sample = sampling::select(cfg.sampler, frame, cfg.n_label_tuples, cfg.seed);
     eprintln!("labelling tuples {sample:?}");
     let (train_cells, test_cells) = data.split_by_tuples(&sample);
+    if train_cells.is_empty() || test_cells.is_empty() {
+        return Err(format!(
+            "--tuples {} must label at least one and fewer than all {} tuples",
+            cfg.n_label_tuples,
+            frame.n_tuples()
+        ));
+    }
     let mut model = AnyModel::new(cfg.model, &data, &cfg.train, &mut seeded_rng(cfg.seed));
     eprintln!(
         "training {} for {} epochs ({} weights)...",
@@ -672,6 +679,31 @@ mod tests {
         let row = |r: usize| (0..4).map(|c| table.cell(r, c)).collect::<Vec<_>>();
         assert_eq!(row(0), ["7", attr, value, "1"]);
         assert_eq!(row(1), ["8", "zip", "plain", "1"]);
+    }
+
+    /// A label budget that leaves no training cells or no test cells is
+    /// an input error, not a panic in training or evaluation.
+    #[test]
+    fn detect_rejects_tuples_that_leave_either_split_empty() {
+        let mut dirty = Table::with_columns(&["a", "b"]);
+        let mut clean = Table::with_columns(&["a", "b"]);
+        for i in 0..6 {
+            let v = format!("v{i}");
+            dirty.push_row_strs(&[&format!("{v}x"), "w"]);
+            clean.push_row_strs(&[&v, "w"]);
+        }
+        let frame = CellFrame::merge(&dirty, &clean).unwrap();
+        for tuples in ["0", "6", "7"] {
+            let map = parse_flags(
+                &flags(&[("tuples", tuples), ("epochs", "1")]),
+                &["tuples", "epochs"],
+            )
+            .unwrap();
+            let err = run_detection(&frame, &map, KernelPolicy::Exact)
+                .err()
+                .unwrap_or_else(|| panic!("--tuples {tuples} was accepted"));
+            assert!(err.contains(&format!("--tuples {tuples} ")), "{err}");
+        }
     }
 
     #[test]

@@ -218,13 +218,6 @@ pub fn stream_predict<S: RowSource>(
         ))));
     }
 
-    let metrics_on = etsb_obs::registry::metrics_enabled();
-    let registry = etsb_obs::registry::global();
-    let chunk_gauge = metrics_on.then(|| registry.gauge("etsb_stream_chunk_bytes"));
-    let encoded_gauge = metrics_on.then(|| registry.gauge("etsb_stream_encoded_bytes"));
-    let rows_counter = metrics_on.then(|| registry.counter("etsb_stream_rows"));
-    let cells_counter = metrics_on.then(|| registry.counter("etsb_stream_cells"));
-
     let mut encoder = ChunkEncoder::new(char_index, attr_index);
     let mut chunk = ChunkedFrame::new();
     let mut cell_ids: Vec<usize> = Vec::new();
@@ -244,19 +237,6 @@ pub fn stream_predict<S: RowSource>(
         outcome.flagged += preds.iter().filter(|&&p| p).count();
         outcome.peak_chunk_bytes = outcome.peak_chunk_bytes.max(chunk.resident_bytes());
         outcome.peak_encoded_bytes = outcome.peak_encoded_bytes.max(encoder.resident_bytes());
-
-        if let Some(g) = &chunk_gauge {
-            g.set(outcome.peak_chunk_bytes as f64);
-        }
-        if let Some(g) = &encoded_gauge {
-            g.set(outcome.peak_encoded_bytes as f64);
-        }
-        if let Some(c) = &rows_counter {
-            c.add(chunk.n_tuples() as u64);
-        }
-        if let Some(c) = &cells_counter {
-            c.add(probs.len() as u64);
-        }
 
         sink(&StreamChunk {
             frame: &chunk,

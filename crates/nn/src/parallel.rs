@@ -7,17 +7,16 @@
 //!
 //! # Determinism contract
 //!
-//! [`parallel_map`] concatenates per-worker chunks in worker order, so its
-//! output never depends on scheduling. [`parallel_fold`] goes further: the
-//! item range is cut into a **fixed number of shards** ([`fold_shards`])
-//! that depends only on the item count — never on the worker count — each
-//! shard fills its own accumulator, and shard accumulators are merged in
-//! shard-index order. The exact same float additions happen in the exact
-//! same order whether the shards run on one thread or thirty-two, so
-//! training results are bitwise-identical for a given seed regardless of
-//! `ETSB_WORKERS` / core count.
+//! [`parallel_map_shards`] cuts the item range into a **fixed number of
+//! shards** ([`fold_shards`]) that depends only on the item count — never
+//! on the worker count — and returns per-shard results in shard-index
+//! order. Callers combine those results in that order, so the exact same
+//! float additions happen in the exact same order whether the shards run
+//! on one thread or thirty-two, and training results are
+//! bitwise-identical for a given seed regardless of `ETSB_WORKERS` / core
+//! count.
 
-use etsb_obs::registry::{self, LocalHistogram};
+use etsb_obs::registry;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -27,7 +26,7 @@ fn saturating_ns(d: std::time::Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Fixed shard count cap for [`parallel_fold`]: enough slack for any
+/// Fixed shard count cap for [`fold_shards`]: enough slack for any
 /// realistic core count while keeping per-shard merge cost trivial.
 const MAX_FOLD_SHARDS: usize = 16;
 
@@ -84,95 +83,16 @@ pub fn fold_shards(n: usize) -> usize {
     n.min(MAX_FOLD_SHARDS)
 }
 
-/// Apply `f` to every index in `0..n` across threads, returning results in
-/// index order. `f` must be `Sync` (it borrows the model immutably).
-pub fn parallel_map<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = worker_count(n);
-    if workers <= 1 || n < SPAWN_THRESHOLD {
-        return (0..n).map(f).collect();
-    }
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let f = &f;
-                scope.spawn(move || {
-                    let start = w * chunk;
-                    let end = ((w + 1) * chunk).min(n);
-                    (start..end).map(f).collect::<Vec<T>>()
-                })
-            })
-            .collect();
-        let mut out = Vec::with_capacity(n);
-        // Chunks cover contiguous index ranges in worker order, so
-        // concatenation restores index order exactly.
-        for handle in handles {
-            match handle.join() {
-                Ok(chunk) => out.extend(chunk),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-        out
-    })
-}
-
-/// Like [`parallel_map`], but each worker thread carries a private scratch
-/// state built by `init` (e.g. an [`etsb_tensor::Workspace`] plus reusable
-/// layer caches), so per-item work can be allocation-free after its first
-/// use. The state is created *inside* each worker, so it only needs to be
-/// constructible, not `Send`. Results come back in index order; the state
-/// never crosses items in observable ways as long as `f` treats it as
-/// scratch (zero-on-acquire workspace buffers guarantee exactly that).
-pub fn parallel_map_with<S, T, F>(n: usize, init: impl Fn() -> S + Sync, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    let workers = worker_count(n);
-    if workers <= 1 || n < SPAWN_THRESHOLD {
-        let mut state = init();
-        return (0..n).map(|i| f(&mut state, i)).collect();
-    }
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let f = &f;
-                let init = &init;
-                scope.spawn(move || {
-                    let mut state = init();
-                    let start = w * chunk;
-                    let end = ((w + 1) * chunk).min(n);
-                    (start..end).map(|i| f(&mut state, i)).collect::<Vec<T>>()
-                })
-            })
-            .collect();
-        let mut out = Vec::with_capacity(n);
-        for handle in handles {
-            match handle.join() {
-                Ok(chunk) => out.extend(chunk),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-        out
-    })
-}
-
-/// Apply `f` to each deterministic fold shard of `0..n` — the **exact same
-/// shard boundaries** as [`parallel_fold`] — returning per-shard results in
-/// shard-index order. `f` receives the shard index and its item range;
-/// trailing shards may receive an empty range (the boundaries are a pure
-/// function of `n`), and their results still occupy their slot.
+/// Apply `f` to each deterministic shard of `0..n` — [`fold_shards`]`(n)`
+/// contiguous ranges of `n.div_ceil(shards)` items — returning per-shard
+/// results in shard-index order. `f` receives the shard index and its item
+/// range; trailing shards may receive an empty range (the boundaries are a
+/// pure function of `n`), and their results still occupy their slot.
 ///
-/// This is the batched-execution counterpart of [`parallel_fold`]: the
-/// model hot path builds one packed sequence batch per shard, and because
-/// shard composition depends only on the item count, the float-operation
-/// order inside each batch — and the shard-order combination afterwards —
-/// is identical for every worker count.
+/// The model hot path builds one packed sequence batch per shard, and
+/// because shard composition depends only on the item count, the
+/// float-operation order inside each batch — and the shard-order
+/// combination afterwards — is identical for every worker count.
 pub fn parallel_map_shards<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -235,167 +155,9 @@ where
     timed.into_iter().map(|(out, _)| out).collect()
 }
 
-/// Fold `f` over `0..n` with deterministic sharding: the range is cut into
-/// [`fold_shards`]`(n)` fixed shards, each shard folds into its own fresh
-/// accumulator from `init`, and shard accumulators are combined with
-/// `merge` in shard-index order. Returns `init()` untouched when `n == 0`.
-///
-/// Used for sharded gradient accumulation: `merge` sees the exact same
-/// operands in the exact same order for every worker count.
-pub fn parallel_fold<A, F, M>(n: usize, init: impl Fn() -> A + Sync, f: F, merge: M) -> A
-where
-    A: Send,
-    F: Fn(&mut A, usize) + Sync,
-    M: Fn(&mut A, A),
-{
-    let shards = fold_shards(n);
-    if shards == 0 {
-        return init();
-    }
-    let chunk = n.div_ceil(shards);
-    let workers = worker_count(shards);
-    // Coordinating-thread instrumentation only: worker threads never touch
-    // the span stack, so the trace stays deterministic and the fold's
-    // float-summation order is untouched.
-    let _fold_span = etsb_obs::obs_span!(
-        "parallel_fold",
-        "items" => n,
-        "shards" => shards,
-        "workers" => workers,
-    );
-    if etsb_obs::enabled() {
-        for s in 0..shards {
-            let count = ((s + 1) * chunk).min(n) - (s * chunk).min(n);
-            etsb_obs::emit(
-                "counter",
-                vec![
-                    ("name", etsb_obs::FieldValue::from("shard_items")),
-                    ("shard", etsb_obs::FieldValue::from(s)),
-                    ("value", etsb_obs::FieldValue::from(count)),
-                ],
-            );
-        }
-    }
-    // Each shard accumulates per-item wall times into its own
-    // non-atomic [`LocalHistogram`]; the coordinating thread merges
-    // them into the global registry in shard-index order afterwards.
-    // The integer accumulators make the merged totals order-independent
-    // and the fixed order makes snapshots deterministic for a given
-    // event stream; the model's float work is untouched either way.
-    let timing = registry::metrics_enabled();
-    let run_shard = |s: usize| {
-        let mut acc = init();
-        let mut local = timing.then(LocalHistogram::latency);
-        let start = s * chunk;
-        let end = ((s + 1) * chunk).min(n);
-        for i in start..end {
-            match &mut local {
-                Some(hist) => {
-                    let t0 = Instant::now();
-                    f(&mut acc, i);
-                    hist.record(saturating_ns(t0.elapsed()));
-                }
-                None => f(&mut acc, i),
-            }
-        }
-        (acc, local)
-    };
-    let sharded: Vec<(A, Option<LocalHistogram>)> = if workers <= 1 || n < SPAWN_THRESHOLD {
-        (0..shards).map(run_shard).collect()
-    } else {
-        let per_worker = shards.div_ceil(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let run_shard = &run_shard;
-                    scope.spawn(move || {
-                        let start = w * per_worker;
-                        let end = ((w + 1) * per_worker).min(shards);
-                        (start..end)
-                            .map(run_shard)
-                            .collect::<Vec<(A, Option<LocalHistogram>)>>()
-                    })
-                })
-                .collect();
-            let mut out = Vec::with_capacity(shards);
-            for handle in handles {
-                match handle.join() {
-                    Ok(part) => out.extend(part),
-                    Err(panic) => std::panic::resume_unwind(panic),
-                }
-            }
-            out
-        })
-    };
-    if timing {
-        let hist = registry::global().histogram("parallel_fold_item_ns");
-        for (_, local) in &sharded {
-            if let Some(local) = local {
-                hist.merge_local(local);
-            }
-        }
-    }
-    let _merge_span = etsb_obs::span("merge");
-    let mut iter = sharded.into_iter().map(|(acc, _)| acc);
-    // shards >= 1 here, so the first accumulator always exists.
-    let mut total = match iter.next() {
-        Some(first) => first,
-        None => init(),
-    };
-    for acc in iter {
-        merge(&mut total, acc);
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn map_preserves_order() {
-        let out = parallel_map(1000, |i| i * 2);
-        assert_eq!(out.len(), 1000);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, i * 2);
-        }
-    }
-
-    #[test]
-    fn map_small_input_uses_serial_path() {
-        assert_eq!(parallel_map(3, |i| i + 1), vec![1, 2, 3]);
-        assert_eq!(parallel_map(0, |i| i), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn map_with_preserves_order() {
-        let out = parallel_map_with(
-            1000,
-            || 0u64,
-            |calls, i| {
-                *calls += 1;
-                i * 3
-            },
-        );
-        assert_eq!(out.len(), 1000);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, i * 3);
-        }
-    }
-
-    #[test]
-    fn map_with_reuses_state_within_a_worker() {
-        // Below the spawn threshold the whole range shares one state.
-        let out = parallel_map_with(
-            50,
-            || 0usize,
-            |calls, _| {
-                *calls += 1;
-                *calls
-            },
-        );
-        assert_eq!(out[49], 50);
-    }
 
     #[test]
     fn map_shards_matches_fold_boundaries() {
@@ -425,39 +187,6 @@ mod tests {
         let threaded = run();
         set_worker_override(0);
         assert_eq!(serial, threaded);
-    }
-
-    #[test]
-    fn fold_sums_correctly() {
-        let total = parallel_fold(10_000, || 0u64, |acc, i| *acc += i as u64, |a, b| *a += b);
-        assert_eq!(total, 10_000 * 9_999 / 2);
-    }
-
-    #[test]
-    fn fold_empty_range_returns_init() {
-        let total = parallel_fold(0, || 42u64, |_, _| {}, |a, b| *a += b);
-        assert_eq!(total, 42);
-    }
-
-    #[test]
-    fn fold_shard_structure_is_worker_independent() {
-        // Merge order is observable through a non-commutative fold: collect
-        // (shard-local) index lists and concatenate at merge time.
-        let run = || {
-            parallel_fold(
-                200,
-                Vec::<usize>::new,
-                |acc, i| acc.push(i),
-                |a, mut b| a.append(&mut b),
-            )
-        };
-        set_worker_override(1);
-        let serial = run();
-        set_worker_override(4);
-        let parallel = run();
-        set_worker_override(0);
-        assert_eq!(serial, parallel);
-        assert_eq!(serial, (0..200).collect::<Vec<_>>());
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //!   registry's mutex is only taken on instrument lookup (done once,
 //!   callers cache the returned [`Arc`]) and on [`Registry::snapshot`].
 //! * **Deterministic snapshots.** Histogram bucket boundaries are fixed
-//!   at construction, sums are exact integer nanoseconds (`u64`, so
-//!   accumulation order cannot perturb a bit), and per-shard
-//!   [`LocalHistogram`]s merge in fixed shard order — for a given event
+//!   at construction and sums are exact integer nanoseconds (`u64`, so
+//!   accumulation order cannot perturb a bit) — for a given event
 //!   stream, two runs produce byte-identical snapshots and byte-identical
 //!   Prometheus renderings (`crate::expo`).
 //! * **Results stay untouched.** Like tracing, metrics never feed back
@@ -109,8 +108,10 @@ pub fn init_from_env() -> Result<&'static str, String> {
     }
 }
 
-/// The process-wide registry. Instruments registered here are exposed
-/// by `etsb serve`'s `GET /metrics` and read by `serve_bench`.
+/// The process-wide registry. Library instrumentation points (shard and
+/// epoch timings) record here while [`metrics_enabled`]; nothing exports
+/// it yet — `etsb serve`'s `GET /metrics` renders only each service's own
+/// registry.
 pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
 }
@@ -237,26 +238,6 @@ impl Histogram {
         self.record(ns);
     }
 
-    /// Merge a per-shard [`LocalHistogram`] into this one. Callers must
-    /// merge shards in fixed shard-index order so snapshots are
-    /// deterministic for a given event stream (all accumulators are
-    /// integers, so the merged *totals* are order-independent; fixed
-    /// order additionally makes any interleaved snapshot deterministic).
-    pub fn merge_local(&self, local: &LocalHistogram) {
-        assert_eq!(
-            self.bounds, local.bounds,
-            "cannot merge histograms with different bounds"
-        );
-        for (bucket, &n) in self.buckets.iter().zip(&local.buckets) {
-            if n > 0 {
-                bucket.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(local.count, Ordering::Relaxed);
-        self.sum.fetch_add(local.sum, Ordering::Relaxed);
-        self.max.fetch_max(local.max, Ordering::Relaxed);
-    }
-
     /// A consistent read of the histogram state. Concurrent recorders
     /// may be mid-update; for deterministic byte-identical snapshots,
     /// snapshot quiescent histograms (as the bench harness and the
@@ -273,55 +254,6 @@ impl Histogram {
             sum: self.sum.load(Ordering::Relaxed),
             max: self.max.load(Ordering::Relaxed),
         }
-    }
-}
-
-/// A plain (non-atomic) histogram for single-threaded accumulation in a
-/// worker shard; merge into a shared [`Histogram`] with
-/// [`Histogram::merge_local`] in shard-index order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LocalHistogram {
-    bounds: Vec<u64>,
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl LocalHistogram {
-    /// A local histogram over the given ascending bucket upper bounds.
-    pub fn with_bounds(bounds: &[u64]) -> LocalHistogram {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly ascending"
-        );
-        LocalHistogram {
-            bounds: bounds.to_vec(),
-            buckets: vec![0; bounds.len() + 1],
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-
-    /// A local latency histogram over [`LATENCY_BOUNDS_NS`].
-    pub fn latency() -> LocalHistogram {
-        LocalHistogram::with_bounds(&LATENCY_BOUNDS_NS)
-    }
-
-    /// Record one observation.
-    #[inline]
-    pub fn record(&mut self, value: u64) {
-        let idx = self.bounds.partition_point(|&b| b < value);
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum += value;
-        self.max = self.max.max(value);
-    }
-
-    /// Number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.count
     }
 }
 
@@ -581,27 +513,12 @@ mod tests {
         assert_eq!(snap.max, 5000);
         assert_eq!(snap.p50(), 10);
         assert_eq!(snap.quantile(1.0), 5000);
+        assert!(snap.p50() <= snap.p90() && snap.p90() <= snap.p99() && snap.p99() <= snap.max);
         // Quantile estimates clamp to the observed max: with a single
         // observation of 7 in the ≤10 bucket, p99 is 7, not 10.
         let h1 = Histogram::with_bounds(&[10, 100]);
         h1.record(7);
         assert_eq!(h1.snapshot().p99(), 7);
-    }
-
-    #[test]
-    fn local_merge_matches_direct_recording() {
-        let direct = Histogram::latency();
-        let merged = Histogram::latency();
-        let mut shards = vec![LocalHistogram::latency(), LocalHistogram::latency()];
-        for i in 0..100u64 {
-            let v = i * 7919 + 13;
-            direct.record(v);
-            shards[(i % 2) as usize].record(v);
-        }
-        for shard in &shards {
-            merged.merge_local(shard);
-        }
-        assert_eq!(direct.snapshot(), merged.snapshot());
     }
 
     #[test]

@@ -450,9 +450,6 @@ impl DetectService {
             });
             shared.ins.admitted_cells.add(n_cells as u64);
             shared.ins.queue_cells.set(q.queued_cells as f64);
-            if etsb_obs::enabled() {
-                etsb_obs::gauge("serve_queue_cells", q.queued_cells as f64);
-            }
         }
         shared.arrived.notify_all();
         handle
@@ -550,9 +547,6 @@ impl Shared {
                 }
             }
             self.ins.queue_cells.set(q.queued_cells as f64);
-            if etsb_obs::enabled() {
-                etsb_obs::gauge("serve_queue_cells", q.queued_cells as f64);
-            }
             batch
         };
 
@@ -640,17 +634,6 @@ impl Shared {
             .batch_latency_ns
             .record_ns(saturating_ns(started.elapsed()));
         self.ins.sync_cache(&stats);
-        if etsb_obs::enabled() {
-            etsb_obs::gauge("serve_batch_cells", total as f64);
-            etsb_obs::gauge(
-                "serve_batch_latency_us",
-                started.elapsed().as_micros() as f64,
-            );
-            etsb_obs::gauge("serve_cache_len", stats.len as f64);
-            etsb_obs::counter("serve_cache_hits_total", stats.hits);
-            etsb_obs::counter("serve_cache_misses_total", stats.misses);
-            etsb_obs::counter("serve_cache_evictions_total", stats.evictions);
-        }
 
         let threshold = self.cfg.prob_threshold;
         let delivered = Instant::now();

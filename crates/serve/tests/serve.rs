@@ -1,7 +1,8 @@
 //! End-to-end tests of the resident detection service: the coalescing
 //! determinism contract (the batched path must be bitwise identical to
-//! per-request sequential inference at any worker count), LRU bounds,
-//! backpressure, timeout expiry, drain semantics, and both front ends.
+//! per-request sequential inference at any worker count, under either
+//! kernel policy), LRU bounds, backpressure, timeout expiry, drain
+//! semantics, and both front ends.
 //!
 //! Integration tests are exempt from the library no-unwrap discipline;
 //! panics here are test failures, not service behaviour.
@@ -75,12 +76,13 @@ fn sample_requests() -> Vec<Request> {
 }
 
 /// Reference path: every request is its own batch, no cache.
-fn run_sequential(kind: CellKind, requests: &[Request]) -> Vec<String> {
+fn run_sequential(kind: CellKind, fast_math: bool, requests: &[Request]) -> Vec<String> {
     let service = DetectService::start_manual(
         detector(kind),
         ServeConfig {
             max_batch_cells: 1,
             cache_capacity: 0,
+            fast_math,
             ..ServeConfig::default()
         },
     );
@@ -99,6 +101,7 @@ fn run_sequential(kind: CellKind, requests: &[Request]) -> Vec<String> {
 /// boundary; any value must yield the same bytes.
 fn run_coalesced(
     kind: CellKind,
+    fast_math: bool,
     requests: &[Request],
     max_batch_cells: usize,
 ) -> (Vec<String>, DetectService) {
@@ -106,6 +109,7 @@ fn run_coalesced(
         detector(kind),
         ServeConfig {
             max_batch_cells,
+            fast_math,
             ..ServeConfig::default()
         },
     );
@@ -124,37 +128,47 @@ fn run_coalesced(
 #[test]
 fn coalesced_matches_sequential_for_all_cell_kinds_and_worker_counts() {
     for kind in [CellKind::Vanilla, CellKind::Lstm, CellKind::Gru] {
-        // Run the list twice so the second pass is served from the cache.
-        let mut requests = sample_requests();
-        requests.extend(sample_requests());
-        let reference = run_sequential(kind, &requests);
-        for workers in [1usize, 2, 4] {
-            etsb_nn::parallel::set_worker_override(workers);
-            let sequential = run_sequential(kind, &requests);
-            // One giant batch, and small batches with odd boundaries:
-            // batch composition must never show up in the bytes.
-            let (one_batch, _) = run_coalesced(kind, &requests, 256);
-            let (small_batches, service) = run_coalesced(kind, &requests, 5);
-            etsb_nn::parallel::set_worker_override(0);
-            assert_eq!(
-                one_batch, sequential,
-                "coalesced != sequential ({kind:?}, {workers} workers)"
-            );
-            assert_eq!(
-                small_batches, sequential,
-                "batch boundary changed results ({kind:?}, {workers} workers)"
-            );
-            assert_eq!(
-                one_batch, reference,
-                "results changed with worker count ({kind:?}, {workers} workers)"
-            );
-            let metrics = service.metrics();
-            assert!(
-                metrics.cache.hits > 0,
-                "cross-batch duplicates should be served from the cache ({kind:?})"
-            );
-            for line in &one_batch {
-                validate_response_line(line).unwrap();
+        // Both kernel policies: each is bitwise deterministic across batch
+        // shapes and worker counts on its own.
+        for fast_math in [false, true] {
+            let arm = format!("{kind:?}, fast_math {fast_math}");
+            // Run the list twice so the second pass is served from the cache.
+            let mut requests = sample_requests();
+            requests.extend(sample_requests());
+            let reference = run_sequential(kind, fast_math, &requests);
+            for workers in [1usize, 2, 4] {
+                etsb_nn::parallel::set_worker_override(workers);
+                let sequential = run_sequential(kind, fast_math, &requests);
+                // One giant batch, and small batches with odd boundaries:
+                // batch composition must never show up in the bytes.
+                let (one_batch, _) = run_coalesced(kind, fast_math, &requests, 256);
+                let (small_batches, service) = run_coalesced(kind, fast_math, &requests, 5);
+                etsb_nn::parallel::set_worker_override(0);
+                assert_eq!(
+                    one_batch, sequential,
+                    "coalesced != sequential ({arm}, {workers} workers)"
+                );
+                assert_eq!(
+                    small_batches, sequential,
+                    "batch boundary changed results ({arm}, {workers} workers)"
+                );
+                assert_eq!(
+                    one_batch, reference,
+                    "results changed with worker count ({arm}, {workers} workers)"
+                );
+                assert_eq!(
+                    service.provenance().kernel_policy,
+                    if fast_math { "fast-math" } else { "exact" },
+                    "{arm}"
+                );
+                let metrics = service.metrics();
+                assert!(
+                    metrics.cache.hits > 0,
+                    "cross-batch duplicates should be served from the cache ({arm})"
+                );
+                for line in &one_batch {
+                    validate_response_line(line).unwrap();
+                }
             }
         }
     }
@@ -268,7 +282,7 @@ fn shutdown_drains_queued_work_and_refuses_new_requests() {
 #[test]
 fn resident_worker_serves_concurrent_submitters_identically() {
     let requests = sample_requests();
-    let reference = run_sequential(CellKind::Vanilla, &requests);
+    let reference = run_sequential(CellKind::Vanilla, false, &requests);
     let service = DetectService::start(detector(CellKind::Vanilla), ServeConfig::default());
     let mut lines = vec![String::new(); requests.len()];
     std::thread::scope(|scope| {

@@ -20,42 +20,32 @@
 #                                         check_baseline.txt), emitting
 #                                         a JSON report that is then
 #                                         schema-validated
-#   5. cargo test (default features)   -- tier-1 suite
-#   6. cargo test --features sanitize  -- suite again with numeric
+#   5. perfbench compiles              -- cargo check of the end-to-end
+#                                         benchmark package (perfbench/,
+#                                         outside the workspace, so no
+#                                         other step builds it) against
+#                                         its committed lock file
+#   6. cargo test (default features)   -- tier-1 suite
+#   7. cargo test --features sanitize  -- suite again with numeric
 #                                         NaN/Inf sanitizer hooks live
-#   7. determinism under ETSB_WORKERS=2 -- sharded backward must stay
+#   8. determinism under ETSB_WORKERS=2 -- sharded backward must stay
 #                                         bitwise-identical when the
 #                                         worker count is forced
-#   8. trace + manifest schema          -- tiny hospital pipeline with
+#   9. trace + manifest schema          -- tiny hospital pipeline with
 #                                         ETSB_TRACE=jsonl:... and
 #                                         --manifest, gated by trace_lint
-#   9. etsb serve smoke                 -- pipe JSONL requests through
+#  10. etsb serve smoke                 -- pipe JSONL requests through
 #                                         `etsb serve --stdin` twice
 #                                         (coalesced vs --max-batch 1),
 #                                         schema-validate the responses
 #                                         and assert byte equality
-#  10. bench smoke + schema             -- bench_summary --smoke writes
+#  11. bench smoke + schema             -- bench_summary --smoke writes
 #                                         BENCH_hotpath.json (the batched
 #                                         forward+backward arm and the
 #                                         exact/fast-math inference
 #                                         arms), then --validate
 #                                         schema-checks it
-#  11. serve_bench smoke + schema        -- serve_bench --smoke writes
-#                                         BENCH_serve.json (3 load
-#                                         steps, both kernel policies),
-#                                         its RunManifest sidecar and
-#                                         BENCH_serve.prom; --validate
-#                                         schema-checks the steps,
-#                                         trace_lint gates the manifest
-#                                         and the Prometheus exposition
-#  12. stream_bench smoke + schema       -- stream_bench --smoke streams
-#                                         100k synthetic rows per policy
-#                                         at two row counts, asserting
-#                                         the resident-memory gauges do
-#                                         not move; --validate schema-
-#                                         checks BENCH_stream.json and
-#                                         trace_lint gates the manifest
-#  13. forced-portable dispatch          -- fast-math and exact-tier
+#  12. forced-portable dispatch          -- fast-math and exact-tier
 #                                         bitwise suites again with
 #                                         ETSB_KERNELS=portable, so the
 #                                         scalar fallback (the only
@@ -86,6 +76,9 @@ tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 cargo run -q -p etsb-check -- --json "$tmpdir/check_report.json"
 cargo run -q -p etsb-check -- --validate-json "$tmpdir/check_report.json"
+
+step "perfbench compiles (cargo check --locked)"
+cargo check -q --offline --locked --manifest-path perfbench/Cargo.toml
 
 if [[ "${1:-}" != "fast" ]]; then
     step "cargo test --workspace"
@@ -131,23 +124,6 @@ EOF
     step "bench smoke + BENCH_hotpath.json schema"
     cargo run --release -q -p etsb-bench --bin bench_summary -- --smoke
     cargo run --release -q -p etsb-bench --bin bench_summary -- --validate BENCH_hotpath.json
-
-    step "serve_bench smoke + BENCH_serve.json schema + exposition lint"
-    (cd "$tmpdir" && cargo run --release -q \
-        --manifest-path "$OLDPWD/Cargo.toml" -p etsb-bench --bin serve_bench -- --smoke)
-    cargo run --release -q -p etsb-bench --bin serve_bench -- \
-        --validate "$tmpdir/BENCH_serve.json"
-    cargo run -q -p etsb-obs --bin trace_lint -- \
-        --manifest "$tmpdir/BENCH_serve.manifest.json" \
-        --expo "$tmpdir/BENCH_serve.prom"
-
-    step "stream_bench smoke + BENCH_stream.json schema + manifest lint"
-    (cd "$tmpdir" && cargo run --release -q \
-        --manifest-path "$OLDPWD/Cargo.toml" -p etsb-bench --bin stream_bench -- --smoke)
-    cargo run --release -q -p etsb-bench --bin stream_bench -- \
-        --validate "$tmpdir/BENCH_stream.json"
-    cargo run -q -p etsb-obs --bin trace_lint -- \
-        --manifest "$tmpdir/BENCH_stream.manifest.json"
 
     step "forced-portable kernel dispatch (ETSB_KERNELS=portable)"
     ETSB_KERNELS=portable cargo test -q -p etsb-tensor --test kernel_dispatch --test exact_dispatch

@@ -401,48 +401,6 @@ fn generator_determinism_extends_to_csv_round_trip() {
     assert_eq!(parsed, pair.dirty);
 }
 
-/// Histograms merge per-shard accumulators in shard-index order, and
-/// every accumulator is an integer, so the merged registry state — and
-/// its rendered exposition bytes — must be identical whether the shards
-/// ran on one thread or four. This drives the same
-/// `parallel_map_shards` boundaries the model hot path uses, with
-/// synthetic per-item "durations" that are a pure function of the item
-/// index (real timings are the one thing that legitimately varies).
-#[test]
-fn histogram_shard_merge_is_worker_invariant() {
-    use etsb_nn::parallel::{parallel_map_shards, set_worker_override};
-    use etsb_obs::registry::{LocalHistogram, Registry, COUNT_BOUNDS};
-
-    let n = 500usize;
-    let run = |workers: usize| -> String {
-        set_worker_override(workers);
-        let locals: Vec<LocalHistogram> = parallel_map_shards(n, |_, range| {
-            let mut local = LocalHistogram::with_bounds(&COUNT_BOUNDS);
-            for i in range {
-                local.record((i as u64 * 37 + 11) % 100_000);
-            }
-            local
-        });
-        set_worker_override(0);
-        let registry = Registry::new();
-        let hist = registry.histogram_with_bounds("fold_item_units", &COUNT_BOUNDS);
-        for local in &locals {
-            hist.merge_local(local);
-        }
-        etsb_obs::expo::render(&registry.snapshot())
-    };
-
-    let serial = run(1);
-    for workers in [2usize, 4] {
-        assert_eq!(
-            serial,
-            run(workers),
-            "merged exposition bytes depend on worker count ({workers})"
-        );
-    }
-    assert!(serial.contains("fold_item_units_count 500"), "{serial}");
-}
-
 /// Two registries fed the same event stream render byte-identical
 /// Prometheus expositions: name-sorted snapshots, integer accumulators
 /// and a fixed text format leave no room for drift.

@@ -7,7 +7,8 @@
 //! allocates per chunk (probe keys, the per-chunk probability vector),
 //! so its budget is *linear in chunks processed* and independent of the
 //! table's total size — pinned by comparing a double-length stream
-//! against a single-length one.
+//! against a single-length one, which must also report the same peak
+//! resident chunk and encoded bytes under both kernel policies.
 //
 // A test-only global allocator shim is a sanctioned unsafe site; the
 // deny-by-default lint stays on everywhere else.
@@ -84,8 +85,8 @@ fn allocations() -> usize {
 
 const N_COLS: usize = 3;
 
-/// Deterministic fixed-width synthetic rows from a bounded pool — the
-/// same shape of source `stream_bench` uses, small enough for a test.
+/// Deterministic fixed-width synthetic rows from a bounded pool, so every
+/// reused buffer reaches the same capacity for any row count.
 #[derive(Debug)]
 struct SynthSource {
     columns: Vec<String>,
@@ -184,34 +185,50 @@ fn stream_allocations_scale_with_chunks_not_table_size() {
     let model = AnyModel::new(ModelKind::Etsb, &dims, &small_cfg, &mut seeded_rng(3));
 
     let max_len = stats.max_len;
-    let run = |rows: usize| -> usize {
-        let mut scan = FrameScan::new(SynthSource::new(rows), max_len.clone(), 8);
-        // Caching off so the work per chunk is identical across runs.
-        let mut cache = PredictCache::new(0);
-        let before = allocations();
-        stream_predict(
-            &model,
-            &char_index,
-            &attr_index,
-            &mut scan,
-            &mut cache,
-            KernelPolicy::Exact,
-            |_| Ok(()),
-        )
-        .expect("stream");
-        allocations() - before
-    };
+    for policy in [KernelPolicy::Exact, KernelPolicy::FastMath] {
+        // Returns the allocation count and the peak resident chunk plus
+        // encoded bytes of one stream over `rows` rows.
+        let run = |rows: usize| -> (usize, usize) {
+            let mut scan = FrameScan::new(SynthSource::new(rows), max_len.clone(), 8);
+            // Caching off so the work per chunk is identical across runs.
+            let mut cache = PredictCache::new(0);
+            let before = allocations();
+            let outcome = stream_predict(
+                &model,
+                &char_index,
+                &attr_index,
+                &mut scan,
+                &mut cache,
+                policy,
+                |_| Ok(()),
+            )
+            .expect("stream");
+            (
+                allocations() - before,
+                outcome.peak_chunk_bytes + outcome.peak_encoded_bytes,
+            )
+        };
 
-    // Warm the buffer pools shared below (worker workspaces etc.).
-    let _ = run(64);
-    let base = run(64);
-    let double = run(128);
-    assert!(base > 0, "counting allocator wired up");
-    // Doubling the table doubles the chunks; the allocation count may
-    // scale with chunks but must not scale any faster (an O(table)
-    // buffer per chunk would show up quadratically here).
-    assert!(
-        double <= 2 * base + 64,
-        "allocations grew faster than the chunk count: {base} for 64 rows, {double} for 128"
-    );
+        // Warm the buffer pools shared below (worker workspaces etc.).
+        let _ = run(64);
+        let (base, base_peak) = run(64);
+        let (double, double_peak) = run(128);
+        assert!(base > 0, "counting allocator wired up");
+        // Doubling the table doubles the chunks; the allocation count may
+        // scale with chunks but must not scale any faster (an O(table)
+        // buffer per chunk would show up quadratically here).
+        assert!(
+            double <= 2 * base + 64,
+            "{policy:?}: allocations grew faster than the chunk count: \
+             {base} for 64 rows, {double} for 128"
+        );
+        // Fixed-width values keep every recycled buffer at the same
+        // capacity, so the resident peak must not move with the row count:
+        // the executable form of the O(chunk) memory claim.
+        assert!(base_peak > 0, "{policy:?}: no resident bytes reported");
+        assert_eq!(
+            base_peak, double_peak,
+            "{policy:?}: peak resident bytes vary with row count"
+        );
+    }
 }
