@@ -187,6 +187,9 @@ fn run_detection(
         },
         seed: parse_or(flags, "seed", 42u64)?,
     };
+    if cfg.train.epochs == 0 {
+        return Err("--epochs must be at least 1".to_string());
+    }
     let data = EncodedDataset::from_frame(frame);
     let sample = sampling::select(cfg.sampler, frame, cfg.n_label_tuples, cfg.seed);
     eprintln!("labelling tuples {sample:?}");
@@ -518,6 +521,12 @@ pub fn serve(args: &[String]) -> Result<(), String> {
         prob_threshold: parse_or(&flags, "threshold", defaults.prob_threshold)?,
         fast_math,
     };
+    if !(0.0..=1.0).contains(&cfg.prob_threshold) {
+        return Err(format!(
+            "--threshold must be a probability in [0, 1], got {}",
+            cfg.prob_threshold
+        ));
+    }
     // etsb: allow(no-whole-file-read) -- model checkpoints are bounded.
     let bytes = std::fs::read(required(&flags, "model")?).map_err(|e| e.to_string())?;
     let detector = load_detector(&bytes).map_err(|e| e.to_string())?;
@@ -681,8 +690,9 @@ mod tests {
         assert_eq!(row(1), ["8", "zip", "plain", "1"]);
     }
 
-    /// A label budget that leaves no training cells or no test cells is
-    /// an input error, not a panic in training or evaluation.
+    /// A label budget that leaves no training cells or no test cells, or
+    /// zero epochs (which would report and save the untrained weights),
+    /// is an input error, not a panic or a useless run.
     #[test]
     fn detect_rejects_tuples_that_leave_either_split_empty() {
         let mut dirty = Table::with_columns(&["a", "b"]);
@@ -703,6 +713,97 @@ mod tests {
                 .err()
                 .unwrap_or_else(|| panic!("--tuples {tuples} was accepted"));
             assert!(err.contains(&format!("--tuples {tuples} ")), "{err}");
+        }
+        let map = parse_flags(
+            &flags(&[("tuples", "2"), ("epochs", "0")]),
+            &["tuples", "epochs"],
+        )
+        .unwrap();
+        let err =
+            run_detection(&frame, &map, KernelPolicy::Exact).expect_err("--epochs 0 was accepted");
+        assert_eq!(err, "--epochs must be at least 1");
+    }
+
+    /// `detect --chunk-rows N --out` re-scans the pair from disk and must
+    /// write the bytes the in-memory writer writes, ground truth on the
+    /// labelled tuples included. The one-letter city typos keep the
+    /// model wrong on some labelled cells, so a writer that emitted its
+    /// predictions there would differ.
+    #[test]
+    fn streamed_detect_output_matches_the_in_memory_writer() {
+        let dir = std::env::temp_dir().join(format!("etsb_cli_stream_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let places = [
+            ("boston", "ma"),
+            ("chicago", "il"),
+            ("denver", "co"),
+            ("austin", "tx"),
+            ("seattle", "wa"),
+        ];
+        let mut dirty = Table::with_columns(&["city", "state", "zip"]);
+        let mut clean = Table::with_columns(&["city", "state", "zip"]);
+        for i in 0..40 {
+            let (city, state) = places[i % places.len()];
+            let zip = (10_000 + 37 * i).to_string();
+            clean.push_row_strs(&[city, state, &zip]);
+            let dirty_city = match i % 7 {
+                0 => format!("{}m", &city[..city.len() - 1]),
+                3 => String::new(),
+                _ => city.to_string(),
+            };
+            let dirty_zip = if i % 5 == 1 { format!("{zip}x") } else { zip };
+            dirty.push_row_strs(&[&dirty_city, state, &dirty_zip]);
+        }
+        let (d, c) = (dir.join("dirty.csv"), dir.join("clean.csv"));
+        csv::write_file(&dirty, &d).unwrap();
+        csv::write_file(&clean, &c).unwrap();
+        for (ext, fast_math) in [("csv", false), ("jsonl", false), ("csv", true)] {
+            let run = |chunk_rows: &str| {
+                let out = dir.join(format!("flagged_{chunk_rows}.{ext}"));
+                let mut args = flags(&[
+                    ("dirty", d.to_str().unwrap()),
+                    ("clean", c.to_str().unwrap()),
+                    ("tuples", "4"),
+                    ("epochs", "1"),
+                    ("chunk-rows", chunk_rows),
+                    ("out", out.to_str().unwrap()),
+                ]);
+                if fast_math {
+                    args.push("--fast-math".to_string());
+                }
+                detect(&args).unwrap();
+                std::fs::read_to_string(out).unwrap()
+            };
+            let in_memory = run("0");
+            let header = EmitFormat::of(&format!(".{ext}")).header();
+            assert!(
+                in_memory.len() > header.len(),
+                "no flagged cells written (.{ext}, fast-math {fast_math})"
+            );
+            assert_eq!(
+                in_memory,
+                run("7"),
+                "streamed output differs (.{ext}, fast-math {fast_math})"
+            );
+        }
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// `serve --threshold` is a probability; anything else (NaN, a
+    /// percentage) would flag nothing or everything without complaint.
+    /// Checked before the model file is read.
+    #[test]
+    fn serve_rejects_a_threshold_outside_zero_one() {
+        for threshold in ["nan", "-0.1", "1.5", "50"] {
+            let err = serve(&flags(&[
+                ("model", "/nonexistent"),
+                ("threshold", threshold),
+            ]))
+            .expect_err("threshold accepted");
+            assert!(
+                err.starts_with("--threshold must be a probability in [0, 1], got "),
+                "--threshold {threshold}: {err}"
+            );
         }
     }
 

@@ -21,7 +21,7 @@
 //!   histograms with deterministic snapshots (enabled via
 //!   `ETSB_METRICS=on`); a **span profiler** ([`profile`]) folding
 //!   `span_start`/`span_end` events into per-span self-time rollups
-//!   (live via `ProfileSink` or offline via the `trace_profile` bin);
+//!   (offline, by replaying a JSONL trace with the `trace_profile` bin);
 //!   and dependency-free **Prometheus text exposition** ([`expo`]) of
 //!   registry snapshots, served by `etsb serve`'s `GET /metrics`.
 //!

@@ -2,10 +2,9 @@
 //! per-span-name rollups — call count, total wall time, self-time
 //! (total minus time spent in child spans), and per-parent attribution.
 //!
-//! Works both **online**, as a [`ProfileSink`] installed via
-//! [`crate::set_sink`] (the `CaptureSink` pattern: the sink feeds a
-//! shared [`SpanProfile`]), and **offline**, by replaying any
-//! `ETSB_TRACE=jsonl:<path>` file (the `trace_profile` bin).
+//! Runs offline: the `trace_profile` bin replays an
+//! `ETSB_TRACE=jsonl:<path>` file through [`SpanProfile::ingest_jsonl`],
+//! and tests fold captured events with [`SpanProfile::from_events`].
 //!
 //! Attribution uses the event's `span` path (the dot-joined stack of
 //! open spans): the last segment is the span's own name, the
@@ -16,11 +15,9 @@
 //! in the edge table.
 
 use crate::json;
-use crate::sink::Sink;
 use crate::Event;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
 
 /// Parent name used for spans opened at the root of a thread's stack.
 pub const ROOT: &str = "(root)";
@@ -243,37 +240,6 @@ impl SpanProfile {
     }
 }
 
-/// A [`Sink`] that folds events into a shared [`SpanProfile`] as they
-/// are emitted (the in-memory `CaptureSink` pattern: keep the returned
-/// handle, install the sink, read the profile after `set_sink(None)`).
-#[derive(Debug)]
-pub struct ProfileSink {
-    profile: Arc<Mutex<SpanProfile>>,
-}
-
-impl ProfileSink {
-    /// A sink plus the shared profile it populates.
-    pub fn new() -> (ProfileSink, Arc<Mutex<SpanProfile>>) {
-        let profile = Arc::new(Mutex::new(SpanProfile::new()));
-        (
-            ProfileSink {
-                profile: Arc::clone(&profile),
-            },
-            profile,
-        )
-    }
-}
-
-impl Sink for ProfileSink {
-    fn emit(&mut self, event: &Event) {
-        let mut profile = match self.profile.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        profile.observe(event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,24 +330,6 @@ mod tests {
         let mut profile = SpanProfile::new();
         let err = profile.ingest_jsonl("{\"kind\":\n").expect_err("bad json");
         assert!(err.starts_with("line 1:"), "{err}");
-    }
-
-    #[test]
-    fn profile_sink_folds_live_spans() {
-        let (sink, profile) = ProfileSink::new();
-        let mut sink = sink;
-        sink.emit(&span_end("live.child", 3));
-        sink.emit(&span_end("live", 9));
-        let profile = profile.lock().expect("profile lock");
-        assert_eq!(profile.span("live").map(|s| s.total_us), Some(9));
-        assert_eq!(
-            profile
-                .rows()
-                .iter()
-                .find(|r| r.name == "live")
-                .map(|r| r.self_us),
-            Some(6)
-        );
     }
 
     #[test]

@@ -645,25 +645,11 @@ impl Matrix {
         out
     }
 
-    /// `self @ other.T` written into `out` (reshaped in place). Each
-    /// element is a [`crate::ops::dot`]; `dot` is argument-symmetric, so
-    /// row `i` of the result is bitwise identical to
-    /// `other.matvec(self.row(i))`.
-    pub fn matmul_transposed_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_transposed_into: {}x{} @ ({}x{})^T shape mismatch",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        simd::matmul_transposed_exact_with(active_backend(), self, other, out);
-        crate::sanitize::assert_finite("tensor", "matmul_transposed_into", &out.data);
-    }
-
     /// Body of the exact `self @ other.T`, shared by every backend:
     /// `out` is already `self.rows x other.rows`; each element is one
     /// [`crate::ops::dot`]. `#[inline(always)]` for the AVX2 shim.
     #[inline(always)]
-    // etsb: allow(shape-assert) -- body behind the `matmul_transposed*` asserts; `transposed_row_dots` re-checks every row.
+    // etsb: allow(shape-assert) -- body behind `matmul_transposed`'s assert; `transposed_row_dots` re-checks every row.
     pub(crate) fn matmul_transposed_kernel(&self, other: &Matrix, out: &mut Matrix) {
         for i in 0..self.rows {
             let a_row = &self.data[i * self.cols..(i + 1) * self.cols];
@@ -697,7 +683,9 @@ impl Matrix {
         out
     }
 
-    /// Matrix–vector product `self @ v`.
+    /// Matrix–vector product `self @ v`: one [`crate::ops::dot`] per row.
+    /// `dot` is argument-symmetric, so `self.matvec(a.row(i))` is bitwise
+    /// identical to row `i` of `a.matmul_transposed(self)`.
     pub fn matvec(&self, v: &[f32]) -> Vec<f32> {
         assert_eq!(
             self.cols,
@@ -707,47 +695,9 @@ impl Matrix {
             self.cols,
             v.len()
         );
-        let mut out = Vec::new();
-        self.matvec_into(v, &mut out);
-        out
-    }
-
-    /// `self @ v` written into `out` (cleared and resized; allocation-free
-    /// once `out`'s capacity suffices). Bitwise identical to [`Self::matvec`].
-    pub fn matvec_into(&self, v: &[f32], out: &mut Vec<f32>) {
-        assert_eq!(
-            self.cols,
-            v.len(),
-            "matvec_into: {}x{} @ vec of len {}",
-            self.rows,
-            self.cols,
-            v.len()
-        );
-        simd::matvec_exact_with(active_backend(), self, v, out);
-    }
-
-    /// Body of the exact `self @ v`, shared by every backend: `out` is
-    /// already `self.rows` long. `#[inline(always)]` for the AVX2 shim.
-    #[inline(always)]
-    // etsb: allow(shape-assert) -- body behind `matvec_into`'s assert; `dot4`/`dot` re-check every length.
-    pub(crate) fn matvec_kernel(&self, v: &[f32], out: &mut [f32]) {
-        // Four rows per pass: `dot4` shares the sweep over `v` between four
-        // output elements, each still bitwise equal to its single `dot`.
-        let mut i = 0;
-        while i + 4 <= self.rows {
-            let r = crate::ops::dot4(
-                v,
-                self.row(i),
-                self.row(i + 1),
-                self.row(i + 2),
-                self.row(i + 3),
-            );
-            out[i..i + 4].copy_from_slice(&r);
-            i += 4;
-        }
-        for (j, o) in out.iter_mut().enumerate().skip(i) {
-            *o = crate::ops::dot(self.row(j), v);
-        }
+        (0..self.rows)
+            .map(|i| crate::ops::dot(self.row(i), v))
+            .collect()
     }
 
     /// Vector–matrix product `v @ self` (i.e. `self.T @ v`), transpose-free.
@@ -1258,20 +1208,11 @@ mod tests {
     fn into_variants_are_bitwise_identical_to_allocating_ones() {
         let a = messy(9, 13);
         let b = messy(13, 6);
-        let bt = messy(6, 13);
-        let v13: Vec<f32> = (0..13).map(|i| i as f32 * 0.3 - 1.7).collect();
 
-        // Seed the `_into` outputs with garbage to prove they overwrite.
+        // Seed the `_into` output with garbage to prove it overwrites.
         let mut m = Matrix::full(2, 2, 7.7);
         a.matmul_into(&b, &mut m);
         assert_eq!(m, a.matmul(&b));
-
-        a.matmul_transposed_into(&bt, &mut m);
-        assert_eq!(m, a.matmul_transposed(&bt));
-
-        let mut v = vec![9.9; 3];
-        a.matvec_into(&v13, &mut v);
-        assert_eq!(v, a.matvec(&v13));
     }
 
     /// The batched weight-gradient kernel must be bitwise identical to

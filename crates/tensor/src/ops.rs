@@ -43,8 +43,8 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// `[dot(a, b0), dot(a, b1), dot(a, b2), dot(a, b3)]`, each entry bitwise
 /// identical to the corresponding [`dot`] call. Blocking the `b` rows
 /// amortizes the loads of `a` and the loop control across four outputs —
-/// the difference between `matvec`/`matmul_transposed` running at memory
-/// speed and stalling on per-call overhead.
+/// the difference between `matmul_transposed` running at memory speed
+/// and stalling on per-call overhead.
 ///
 /// # Panics
 /// If any slice length differs from `a`'s.

@@ -237,7 +237,7 @@ pub fn matmul_window_exact_with(
 }
 
 /// Exact `a @ b.T` on an explicit backend, `out` reshaped to
-/// `a.rows() x b.rows()` (the body of [`Matrix::matmul_transposed_into`]).
+/// `a.rows() x b.rows()` (the body of [`Matrix::matmul_transposed`]).
 // Dispatch into the AVX2 shims (see the policy methods).
 #[allow(unsafe_code)]
 pub fn matmul_transposed_exact_with(backend: Backend, a: &Matrix, b: &Matrix, out: &mut Matrix) {
@@ -257,30 +257,6 @@ pub fn matmul_transposed_exact_with(backend: Backend, a: &Matrix, b: &Matrix, ou
         // SAFETY: Backend::Avx2 values only exist on hosts where
         // `detected_backend` verified the `avx2` feature.
         Backend::Avx2 => unsafe { x86::exact_matmul_transposed(a, b, out) },
-    }
-}
-
-/// Exact `m @ v` on an explicit backend, `out` cleared and resized to
-/// `m.rows()` (the body of [`Matrix::matvec_into`]).
-// Dispatch into the AVX2 shims (see the policy methods).
-#[allow(unsafe_code)]
-pub fn matvec_exact_with(backend: Backend, m: &Matrix, v: &[f32], out: &mut Vec<f32>) {
-    assert_eq!(
-        m.cols(),
-        v.len(),
-        "matvec_exact_with: {}x{} @ vec of len {}",
-        m.rows(),
-        m.cols(),
-        v.len()
-    );
-    out.clear();
-    out.resize(m.rows(), 0.0);
-    match backend {
-        Backend::Portable => m.matvec_kernel(v, out),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Backend::Avx2 values only exist on hosts where
-        // `detected_backend` verified the `avx2` feature.
-        Backend::Avx2 => unsafe { x86::exact_matvec(m, v, out) },
     }
 }
 

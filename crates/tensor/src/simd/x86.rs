@@ -180,13 +180,6 @@ pub(super) fn exact_matmul_transposed(a: &Matrix, b: &Matrix, out: &mut Matrix) 
     a.matmul_transposed_kernel(b, out);
 }
 
-/// Exact `m @ v`: `Matrix::matvec_kernel` compiled with `avx2`.
-#[target_feature(enable = "avx2")]
-// etsb: allow(shape-assert) -- shapes validated by the exact dispatcher.
-pub(super) fn exact_matvec(m: &Matrix, v: &[f32], out: &mut [f32]) {
-    m.matvec_kernel(v, out);
-}
-
 /// Exact blocked weight-gradient accumulation:
 /// `Matrix::add_transposed_matmul_blocked_kernel` compiled with `avx2`.
 #[target_feature(enable = "avx2")]

@@ -13,7 +13,7 @@
 use etsb_tensor::init::seeded_rng;
 use etsb_tensor::simd::{
     active_backend, add_transposed_matmul_blocked_exact_with, matmul_transposed_exact_with,
-    matmul_window_exact_with, matvec_exact_with, tanh_exact, tanh_exact_with, Backend,
+    matmul_window_exact_with, tanh_exact, tanh_exact_with, Backend,
 };
 use etsb_tensor::Matrix;
 use rand::Rng;
@@ -102,13 +102,6 @@ fn exact_products_are_bitwise_identical_across_backends() {
                 bits(n.as_slice()),
                 "matmul_transposed {rows}x{inner}x{cols} diverged"
             );
-
-            let v: Vec<f32> = a.row(rows - 1).to_vec();
-            let mut p = Vec::new();
-            let mut n = Vec::new();
-            matvec_exact_with(Backend::Portable, &bt, &v, &mut p);
-            matvec_exact_with(native, &bt, &v, &mut n);
-            assert_eq!(bits(&p), bits(&n), "matvec {cols}x{inner} diverged");
 
             // Weight-gradient accumulation over shifted row windows of
             // two matrices that share a row count, into a non-zero

@@ -25,27 +25,33 @@
 #                                         outside the workspace, so no
 #                                         other step builds it) against
 #                                         its committed lock file
-#   6. cargo test (default features)   -- tier-1 suite
-#   7. cargo test --features sanitize  -- suite again with numeric
+#   6. vendored crates are locked      -- every vendor/*/Cargo.toml
+#                                         package has a `name = "..."`
+#                                         entry in Cargo.lock, so a
+#                                         crate nothing depends on (and
+#                                         so nothing compiles) cannot
+#                                         linger in vendor/
+#   7. cargo test (default features)   -- tier-1 suite
+#   8. cargo test --features sanitize  -- suite again with numeric
 #                                         NaN/Inf sanitizer hooks live
-#   8. determinism under ETSB_WORKERS=2 -- sharded backward must stay
+#   9. determinism under ETSB_WORKERS=2 -- sharded backward must stay
 #                                         bitwise-identical when the
 #                                         worker count is forced
-#   9. trace + manifest schema          -- tiny hospital pipeline with
+#  10. trace + manifest schema          -- tiny hospital pipeline with
 #                                         ETSB_TRACE=jsonl:... and
 #                                         --manifest, gated by trace_lint
-#  10. etsb serve smoke                 -- pipe JSONL requests through
+#  11. etsb serve smoke                 -- pipe JSONL requests through
 #                                         `etsb serve --stdin` twice
 #                                         (coalesced vs --max-batch 1),
 #                                         schema-validate the responses
 #                                         and assert byte equality
-#  11. bench smoke + schema             -- bench_summary --smoke writes
+#  12. bench smoke + schema             -- bench_summary --smoke writes
 #                                         BENCH_hotpath.json (the batched
 #                                         forward+backward arm and the
 #                                         exact/fast-math inference
 #                                         arms), then --validate
 #                                         schema-checks it
-#  12. forced-portable dispatch          -- fast-math and exact-tier
+#  13. forced-portable dispatch          -- fast-math and exact-tier
 #                                         bitwise suites again with
 #                                         ETSB_KERNELS=portable, so the
 #                                         scalar fallback (the only
@@ -79,6 +85,15 @@ cargo run -q -p etsb-check -- --validate-json "$tmpdir/check_report.json"
 
 step "perfbench compiles (cargo check --locked)"
 cargo check -q --offline --locked --manifest-path perfbench/Cargo.toml
+
+step "every vendored crate is locked"
+for manifest in vendor/*/Cargo.toml; do
+    name="$(sed -n 's/^name = "\(.*\)"$/\1/p' "$manifest" | head -n 1)"
+    if ! grep -qx "name = \"$name\"" Cargo.lock; then
+        echo "unused vendored crate: $(dirname "$manifest") ($name)" >&2
+        exit 1
+    fi
+done
 
 if [[ "${1:-}" != "fast" ]]; then
     step "cargo test --workspace"
