@@ -70,7 +70,7 @@ fn run_condition(
         .map(|rep| {
             let seed = cfg.seed.wrapping_add(rep);
             let sample = sampling::diver_set(frame, cfg.n_label_tuples, seed);
-            run_with_sample(frame, &ablated, &sample, &cfg, seed).metrics
+            run_with_sample(&ablated, &sample, &cfg, seed).metrics
         })
         .collect();
     aggregate(&metrics).expect("at least one run").2

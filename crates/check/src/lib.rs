@@ -1,16 +1,19 @@
-//! `etsb-check`: a dependency-light, source-level static-analysis pass
+//! `etsb-check`: a std-only, source-level static-analysis pass
 //! over the workspace — an *invariant auditor* for the contracts that
 //! keep the paper's 10-repetition evaluation protocol reproducible, the
 //! bitwise-determinism guarantee intact, and the library crates
 //! panic-free on malformed input.
 //!
-//! Enforced rules (each with an `// etsb: allow(<rule>)` escape hatch
-//! and an `--explain <rule>` doc entry):
+//! Every finding fails the check. A justified
+//! `// etsb: allow(<rule>) -- <reason>` on the offending line (or the
+//! line above it) is the only exemption, and each rule has an
+//! `--explain <rule>` doc entry.
+//!
+//! Enforced rules:
 //!
 //! * **`no-unwrap`** — no `unwrap()` / `expect()` / `panic!` /
 //!   `unreachable!` / `todo!` / `unimplemented!` in the non-test code of
-//!   library crates. Existing debt lives in a machine-readable baseline
-//!   file and may only ratchet down.
+//!   library crates.
 //! * **`no-unseeded-rng`** — no `thread_rng()` / `from_entropy()`
 //!   anywhere; every generator must derive from
 //!   `SeedableRng::seed_from_u64`.
@@ -58,18 +61,13 @@
 //! this workspace's house style (enforced by `rustfmt`), simple enough
 //! to audit by reading one file per concern.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-pub mod baseline;
 pub mod fnmap;
-pub mod report;
 mod rules;
 mod strip;
 
-pub use baseline::Baseline;
-pub use report::{json_report, validate_json_report};
 pub use strip::strip_comments_and_strings;
 
 /// Library crates in which panicking paths are forbidden (`no-unwrap`).
@@ -116,7 +114,7 @@ pub const INTO_CHECKED_CRATES: [&str; 2] = SHAPE_CHECKED_CRATES;
 
 /// How serious a rule violation is. Severity does not change gating —
 /// every violation fails the check — it is reporting metadata for the
-/// JSON report and the `--explain` docs.
+/// error lines and the `--explain` docs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// Violates a load-bearing contract of the reproduction — bitwise
@@ -131,7 +129,7 @@ pub enum Severity {
 }
 
 impl Severity {
-    /// Lower-case name used in reports.
+    /// Lower-case name shown on error lines and by `--explain`.
     pub fn name(self) -> &'static str {
         match self {
             Severity::Critical => "critical",
@@ -180,8 +178,7 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// The rule's name as written in `// etsb: allow(<name>)` and in the
-    /// baseline file.
+    /// The rule's name as written in `// etsb: allow(<name>)`.
     pub fn name(self) -> &'static str {
         match self {
             Rule::NoUnwrap => "no-unwrap",
@@ -205,7 +202,7 @@ impl Rule {
         Rule::all().into_iter().find(|r| r.name() == name)
     }
 
-    /// All rules, in report order.
+    /// All rules, in the order `--help` lists them.
     pub fn all() -> [Rule; 13] {
         [
             Rule::NoUnwrap,
@@ -444,7 +441,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based line number.
     pub line: usize,
-    /// Trimmed source line (or item name) for the report.
+    /// Trimmed source line (or item name) for the error line.
     pub snippet: String,
 }
 
@@ -458,31 +455,8 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Result of checking a workspace tree against a baseline.
-#[derive(Clone, Debug, Default)]
-pub struct Report {
-    /// Hard violations: not covered by an allow annotation and over the
-    /// baseline budget for their (rule, file).
-    pub violations: Vec<Finding>,
-    /// Findings absorbed by the baseline (pre-existing debt).
-    pub baselined: Vec<Finding>,
-    /// (rule, file) entries whose current count is below the baseline:
-    /// the baseline should be regenerated to lock in the progress.
-    pub ratchet_slack: Vec<(String, String, usize, usize)>,
-    /// (rule, file) baseline entries for files that no longer produce
-    /// findings at all (also regeneration candidates).
-    pub stale_entries: Vec<(String, String)>,
-}
-
-impl Report {
-    /// Whether the tree passes the check.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
 /// Scan one source file. `rel` is the workspace-relative path (used for
-/// crate attribution and reports).
+/// crate attribution and error lines).
 pub fn scan_source(rel: &str, source: &str) -> Vec<Finding> {
     let ctx = FileContext::classify(rel);
     let stripped = strip_comments_and_strings(source);
@@ -643,58 +617,12 @@ fn collect_rs(dir: &Path, root: &Path, out: &mut Vec<(String, String)>) -> std::
     Ok(())
 }
 
-/// Scan a whole tree and reconcile the findings against `baseline`.
-pub fn check_tree(sources: &[(String, String)], baseline: &Baseline) -> Report {
-    let mut findings: Vec<Finding> = Vec::new();
-    for (rel, source) in sources {
-        findings.extend(scan_source(rel, source));
-    }
-    reconcile(findings, baseline)
-}
-
-/// Split findings into hard violations and baselined debt, and compute
-/// the ratchet bookkeeping.
-pub fn reconcile(findings: Vec<Finding>, baseline: &Baseline) -> Report {
-    let mut report = Report::default();
-    let mut counts: BTreeMap<(String, String), Vec<Finding>> = BTreeMap::new();
-    for f in findings {
-        counts
-            .entry((f.rule.name().to_string(), f.file.clone()))
-            .or_default()
-            .push(f);
-    }
-    for ((rule, file), group) in &counts {
-        let budget = baseline.budget(rule, file);
-        let current = group.len();
-        if current > budget {
-            // Everything beyond the budget is a hard violation; report
-            // the whole group so the offending sites are all visible.
-            report.violations.extend(group.iter().cloned());
-        } else {
-            report.baselined.extend(group.iter().cloned());
-            if current < budget {
-                report
-                    .ratchet_slack
-                    .push((rule.clone(), file.clone(), current, budget));
-            }
-        }
-    }
-    for (rule, file, budget) in baseline.entries() {
-        if budget > 0 && !counts.contains_key(&(rule.clone(), file.clone())) {
-            report.stale_entries.push((rule, file));
-        }
-    }
-    report
-}
-
-/// Regenerate baseline contents from a finding set: one entry per
-/// (rule, file) with the current count.
-pub fn baseline_from_findings(findings: &[Finding]) -> Baseline {
-    let mut b = Baseline::default();
-    for f in findings {
-        b.bump(f.rule.name(), &f.file);
-    }
-    b
+/// Scan a whole tree. Every finding is a violation.
+pub fn check_tree(sources: &[(String, String)]) -> Vec<Finding> {
+    sources
+        .iter()
+        .flat_map(|(rel, source)| scan_source(rel, source))
+        .collect()
 }
 
 /// Locate the workspace root: walk up from `start` to the first

@@ -1,42 +1,25 @@
 //! CLI for the workspace invariant auditor.
 //!
 //! ```text
-//! cargo run -p etsb-check                   # check, gated by the baseline
-//! cargo run -p etsb-check -- --update-baseline
-//! cargo run -p etsb-check -- --root DIR --baseline FILE
-//! cargo run -p etsb-check -- --list-baselined
+//! cargo run -p etsb-check                   # check the enclosing workspace
+//! cargo run -p etsb-check -- --root DIR
 //! cargo run -p etsb-check -- --explain hash-iter-order
-//! cargo run -p etsb-check -- --json report.json        # CI report
-//! cargo run -p etsb-check -- --validate-json report.json
 //! ```
 //!
 //! Exit codes: 0 clean, 1 violations found, 2 usage or I/O error.
 
-use etsb_check::{
-    baseline_from_findings, check_tree, find_workspace_root, json_report, validate_json_report,
-    Baseline, Rule,
-};
+use etsb_check::{check_tree, find_workspace_root, Rule};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Args {
     root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    update_baseline: bool,
-    list_baselined: bool,
-    json: Option<PathBuf>,
-    validate_json: Option<PathBuf>,
     explain: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: None,
-        baseline: None,
-        update_baseline: false,
-        list_baselined: false,
-        json: None,
-        validate_json: None,
         explain: None,
     };
     let mut it = std::env::args().skip(1);
@@ -47,38 +30,18 @@ fn parse_args() -> Result<Args, String> {
                     it.next().ok_or("--root requires a directory argument")?,
                 ));
             }
-            "--baseline" => {
-                args.baseline = Some(PathBuf::from(
-                    it.next().ok_or("--baseline requires a file argument")?,
-                ));
-            }
-            "--update-baseline" => args.update_baseline = true,
-            "--list-baselined" => args.list_baselined = true,
-            "--json" => {
-                args.json = Some(PathBuf::from(
-                    it.next().ok_or("--json requires a file argument")?,
-                ));
-            }
-            "--validate-json" => {
-                args.validate_json = Some(PathBuf::from(
-                    it.next()
-                        .ok_or("--validate-json requires a file argument")?,
-                ));
-            }
             "--explain" => {
                 args.explain = Some(it.next().ok_or("--explain requires a rule name")?);
             }
             "--help" | "-h" => {
                 println!(
                     "etsb-check: workspace invariant auditor\n\n\
-                     USAGE: etsb-check [--root DIR] [--baseline FILE] \
-                     [--update-baseline] [--list-baselined]\n       \
-                     etsb-check --json FILE        write a machine-readable report \
-                     (schema v1) alongside the normal output\n       \
-                     etsb-check --validate-json FILE   schema-check a previously \
-                     written report and exit\n       \
+                     USAGE: etsb-check [--root DIR]\n       \
                      etsb-check --explain RULE     print a rule's contract, its \
                      twin runtime test, and the fix guidance\n\n\
+                     Every finding fails the check; a justified \
+                     `// etsb: allow(<rule>) -- <reason>` on the offending line \
+                     is the only exemption.\n\n\
                      RULES: {}",
                     Rule::all()
                         .iter()
@@ -103,7 +66,7 @@ fn main() -> ExitCode {
         }
     };
 
-    // Doc lookup and report validation need no workspace scan.
+    // Doc lookup needs no workspace scan.
     if let Some(name) = &args.explain {
         match Rule::from_name(name) {
             Some(rule) => {
@@ -123,25 +86,6 @@ fn main() -> ExitCode {
             }
         }
     }
-    if let Some(path) = &args.validate_json {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("etsb-check: reading {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        match validate_json_report(&text) {
-            Ok(summary) => {
-                println!("etsb-check: {summary}");
-                return ExitCode::SUCCESS;
-            }
-            Err(e) => {
-                eprintln!("etsb-check: {} is invalid: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
 
     let root = match args.root.clone().or_else(|| {
         find_workspace_root(&std::env::current_dir().unwrap_or_else(|_| PathBuf::from(".")))
@@ -154,10 +98,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let baseline_path = args
-        .baseline
-        .clone()
-        .unwrap_or_else(|| root.join("check_baseline.txt"));
 
     let sources = match etsb_check::workspace_sources(&root) {
         Ok(s) => s,
@@ -176,84 +116,26 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    if args.update_baseline {
-        let findings: Vec<_> = sources
-            .iter()
-            .flat_map(|(rel, src)| etsb_check::scan_source(rel, src))
-            .collect();
-        let regenerated = baseline_from_findings(&findings);
-        if let Err(e) = std::fs::write(&baseline_path, regenerated.to_text()) {
-            eprintln!("etsb-check: writing {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "etsb-check: wrote {} ({} baselined sites across {} rules)",
-            baseline_path.display(),
-            findings.len(),
-            Rule::all()
-                .iter()
-                .filter(|r| regenerated.total(r.name()) > 0)
-                .count(),
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = match Baseline::load(&baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("etsb-check: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let report = check_tree(&sources, &baseline);
-
-    if let Some(path) = &args.json {
-        let text = json_report(&report, sources.len());
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("etsb-check: writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!("etsb-check: wrote JSON report to {}", path.display());
-    }
-
-    if args.list_baselined {
-        for f in &report.baselined {
-            println!("baselined: {f}");
-        }
-    }
-    for (rule, file, current, budget) in &report.ratchet_slack {
-        println!(
-            "note: {file} is below its `{rule}` baseline ({current} < {budget}); \
-             run with --update-baseline to ratchet down"
-        );
-    }
-    for (rule, file) in &report.stale_entries {
-        println!("note: baseline entry `{rule} {file}` matches no findings; regenerate to drop it");
-    }
-    if !report.violations.is_empty() {
-        for f in &report.violations {
+    let violations = check_tree(&sources);
+    if !violations.is_empty() {
+        for f in &violations {
             eprintln!("error: [{}] {f}", f.rule.severity());
         }
         eprintln!(
             "\netsb-check: {} violation(s) across {} rule(s); see above, or \
              `etsb-check --explain <rule>` for the contract behind each. \
-             Pre-existing debt is tracked in {} — new debt is not accepted.",
-            report.violations.len(),
+             Fix the site, or justify it with \
+             `// etsb: allow(<rule>) -- <reason>` on the offending line.",
+            violations.len(),
             {
-                let mut rules: Vec<_> = report.violations.iter().map(|f| f.rule).collect();
+                let mut rules: Vec<_> = violations.iter().map(|f| f.rule).collect();
                 rules.sort();
                 rules.dedup();
                 rules.len()
             },
-            baseline_path.display(),
         );
         return ExitCode::FAILURE;
     }
-    println!(
-        "etsb-check: clean ({} files scanned, {} baselined sites remaining)",
-        sources.len(),
-        report.baselined.len(),
-    );
+    println!("etsb-check: clean ({} files scanned)", sources.len());
     ExitCode::SUCCESS
 }

@@ -3,28 +3,6 @@
 
 use etsb_table::{normalize_value, AttrIndex, CellFrame, CharIndex, Table, TableError};
 
-/// Encode one **already-normalized** value against a frozen [`CharIndex`]
-/// and return its `length_norm` against a caller-supplied per-attribute
-/// maximum — the single frozen-dict encode rule shared by serve-request
-/// encoding ([`EncodedDataset::from_request_cells`]) and the streaming
-/// chunk encoder ([`crate::stream`]). The formula is byte-for-byte the
-/// one `CellFrame::merge` uses, which is what keeps every frozen-dict
-/// path bitwise identical to the in-memory merge.
-pub(crate) fn encode_frozen_into(
-    char_index: &CharIndex,
-    value: &str,
-    col_max: usize,
-    seq: &mut Vec<usize>,
-) -> f32 {
-    char_index.encode_into(value, seq);
-    let len = value.chars().count();
-    if col_max == 0 {
-        0.0
-    } else {
-        len as f32 / col_max as f32
-    }
-}
-
 /// Model-ready encoding of every cell of a dataset.
 ///
 /// Arrays are indexed in `frame.cells()` order (tuple-major). The models
@@ -164,14 +142,14 @@ impl EncodedDataset {
         let mut attr_ids = Vec::with_capacity(cells.len());
         let mut length_norms = Vec::with_capacity(cells.len());
         for (attr, value) in &normed {
-            let mut seq = Vec::new();
-            length_norms.push(encode_frozen_into(
-                char_index,
-                value,
-                max_len[*attr],
-                &mut seq,
-            ));
-            sequences.push(seq);
+            // Byte for byte the rule `CellFrame::merge` uses.
+            let col_max = max_len[*attr];
+            length_norms.push(if col_max == 0 {
+                0.0
+            } else {
+                value.chars().count() as f32 / col_max as f32
+            });
+            sequences.push(char_index.encode(value));
             attr_ids.push(*attr);
         }
         Ok(Self {

@@ -898,76 +898,21 @@ impl AnyModel {
     /// (BatchNorm running statistics) — both are needed to reproduce the
     /// checkpointed epoch exactly.
     pub fn snapshot(&self) -> bytes::Bytes {
-        use bytes::BufMut;
-        let params = self.params();
-        let buffers = self.buffers();
-        let mut buf = bytes::BytesMut::new();
-        buf.put_u64_le((params.len() + buffers.len()) as u64);
-        for p in params {
-            etsb_tensor::encode_matrix(&p.value, &mut buf);
-        }
-        for b in buffers {
-            etsb_tensor::encode_matrix(b, &mut buf);
-        }
-        buf.freeze()
+        let state: Vec<&Matrix> = self
+            .params()
+            .into_iter()
+            .map(|p| &p.value)
+            .chain(self.buffers())
+            .collect();
+        etsb_nn::snapshot(&state)
     }
 
-    /// Restore a snapshot taken from an identically-shaped model.
+    /// Restore a snapshot taken from an identically-shaped model. On
+    /// error the model is left untouched.
     pub fn restore(&mut self, snap: &bytes::Bytes) -> Result<(), etsb_nn::CheckpointError> {
-        use bytes::Buf;
-        use etsb_nn::CheckpointError;
-        use etsb_tensor::DecodeError;
-        let mut buf = snap.clone();
-        if buf.remaining() < 8 {
-            return Err(CheckpointError::Decode(DecodeError::Truncated {
-                needed: 8,
-                available: buf.remaining(),
-            }));
-        }
-        let count = buf.get_u64_le() as usize;
-        let expected = self.params().len() + self.buffers().len();
-        if count != expected {
-            return Err(CheckpointError::CountMismatch {
-                snapshot: count,
-                target: expected,
-            });
-        }
-        // Decode everything before mutating so errors leave the model intact.
-        let mut decoded = Vec::with_capacity(count);
-        for _ in 0..count {
-            decoded.push(etsb_tensor::decode_matrix(&mut buf)?);
-        }
-        {
-            let params = self.params();
-            let buffers = self.buffers();
-            for (i, (target, got)) in params
-                .iter()
-                .map(|p| p.value.shape())
-                .chain(buffers.iter().map(|b| b.shape()))
-                .zip(decoded.iter().map(|m| m.shape()))
-                .enumerate()
-            {
-                if target != got {
-                    return Err(CheckpointError::ShapeMismatch {
-                        index: i,
-                        snapshot: got,
-                        target,
-                    });
-                }
-            }
-        }
-        let n_params = self.params().len();
-        let mut iter = decoded.into_iter();
-        for (p, m) in self
-            .params_mut()
-            .into_iter()
-            .zip(iter.by_ref().take(n_params))
-        {
-            p.value = m;
-        }
-        for (b, m) in self.buffers_mut().into_iter().zip(iter) {
-            *b = m;
-        }
+        let mut state = self.clone_state();
+        etsb_nn::restore(snap, &mut state.iter_mut().collect::<Vec<_>>())?;
+        self.load_state(&state);
         Ok(())
     }
 

@@ -254,6 +254,14 @@ pub fn load_detector(bytes: &[u8]) -> Result<LoadedDetector, PersistError> {
         entries.push((ch, i + 1));
     }
     let char_index = CharIndex::from_entries(entries);
+    // A repeated codepoint collapses into one dictionary entry whose id
+    // is past the embedding table, so the first cell holding it would
+    // panic at lookup time instead of failing the load.
+    if char_index.n_chars() != n_chars {
+        return Err(PersistError::Malformed(
+            "char table repeats a codepoint".into(),
+        ));
+    }
 
     need(&buf, 4, "attr count")?;
     let n_attrs = buf.get_u32_le() as usize;
@@ -405,6 +413,28 @@ mod tests {
     fn oversized_units_are_rejected_before_allocating() {
         let file = crafted_file(65_536);
         assert_eq!(file.len(), 47);
+        assert!(matches!(
+            load_detector(&file),
+            Err(PersistError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn repeated_codepoint_is_rejected() {
+        let data = marked_dataset(12);
+        let cfg = small_cfg();
+        let model = AnyModel::new(ModelKind::Tsb, &data, &cfg, &mut seeded_rng(5));
+        let saved = save_detector(&model, ModelKind::Tsb, &cfg, &data);
+        // The char count follows the magic and the 23-byte config
+        // header; repeat the first codepoint right after itself.
+        let count_at = MAGIC.len() + 23;
+        let table_at = count_at + 4;
+        let n_chars = u32::from_le_bytes(saved[count_at..table_at].try_into().unwrap());
+        let mut file = saved[..count_at].to_vec();
+        file.put_u32_le(n_chars + 1);
+        file.extend_from_slice(&saved[table_at..table_at + 4]);
+        file.extend_from_slice(&saved[table_at..]);
+        assert_eq!(file.len(), saved.len() + 4);
         assert!(matches!(
             load_detector(&file),
             Err(PersistError::Malformed(_))

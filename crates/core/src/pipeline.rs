@@ -75,13 +75,12 @@ pub fn run_once_on_frame(frame: &CellFrame, cfg: &ExperimentConfig, rep: u64) ->
         );
         sampling::select(cfg.sampler, frame, cfg.n_label_tuples, seed)
     };
-    run_with_sample(frame, &data, &sample, cfg, seed)
+    run_with_sample(&data, &sample, cfg, seed)
 }
 
 /// Lowest-level entry: run with a caller-supplied labelled-tuple set (the
 /// ablation benches use this to isolate the sampler's contribution).
 pub fn run_with_sample(
-    frame: &CellFrame,
     data: &EncodedDataset,
     sample: &[usize],
     cfg: &ExperimentConfig,
@@ -112,7 +111,6 @@ pub fn run_with_sample(
         etsb_obs::gauge("recall", metrics.recall);
         etsb_obs::gauge("f1", metrics.f1);
     }
-    let _ = frame; // kept in the signature for symmetry / future use
     RunResult {
         metrics,
         history,

@@ -19,7 +19,7 @@
 //! memory is O(`chunk_rows` × attrs), independent of the row count.
 
 use crate::cache::PredictCache;
-use crate::encode::{encode_frozen_into, EncodedDataset};
+use crate::encode::EncodedDataset;
 use crate::eval::Metrics;
 use crate::model::AnyModel;
 use etsb_table::scan::{ChunkedFrame, FrameScan, RowSource};
@@ -145,7 +145,7 @@ impl ChunkEncoder {
         }
     }
 
-    fn refill(&mut self, chunk: &ChunkedFrame, max_len: &[usize]) {
+    fn refill(&mut self, chunk: &ChunkedFrame) {
         let data = &mut self.data;
         self.spare.append(&mut data.sequences);
         data.attr_ids.clear();
@@ -153,15 +153,10 @@ impl ChunkEncoder {
         data.labels.clear();
         for cell in chunk.cells() {
             let mut seq = self.spare.pop().unwrap_or_default();
-            let norm = encode_frozen_into(
-                &data.char_index,
-                &cell.value_x,
-                max_len[cell.attr],
-                &mut seq,
-            );
+            data.char_index.encode_into(&cell.value_x, &mut seq);
             data.sequences.push(seq);
             data.attr_ids.push(cell.attr);
-            data.length_norms.push(norm);
+            data.length_norms.push(cell.length_norm);
             data.labels.push(cell.label);
         }
         data.n_tuples = chunk.n_tuples();
@@ -225,7 +220,7 @@ pub fn stream_predict<S: RowSource>(
     let mut outcome = StreamOutcome::default();
 
     while scan.next_chunk(&mut chunk)? {
-        encoder.refill(&chunk, scan.max_len());
+        encoder.refill(&chunk);
         cell_ids.clear();
         cell_ids.extend(0..encoder.data.n_cells());
         let probs = model.predict_probs_cached_with(&encoder.data, &cell_ids, cache, policy);

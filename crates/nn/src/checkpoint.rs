@@ -2,14 +2,15 @@
 //!
 //! The paper saves the model weights after every epoch whose training loss
 //! improves on the best seen so far, and restores that snapshot before
-//! evaluation (§5.2). [`snapshot`] serializes a parameter list to bytes;
-//! [`restore`] writes a snapshot back into the same parameter list.
+//! evaluation (§5.2). [`snapshot`] serializes a list of matrices (parameter
+//! values, then any buffers such as BatchNorm running statistics) to the
+//! count-prefixed format detector files embed; [`restore`] writes a
+//! snapshot back into a list of the same shapes.
 
-use crate::Param;
 use bytes::{Bytes, BytesMut};
-use etsb_tensor::{decode_matrix, encode_matrix, DecodeError};
+use etsb_tensor::{decode_matrix, encode_matrix, DecodeError, Matrix};
 
-/// Error restoring a checkpoint into a parameter list.
+/// Error restoring a checkpoint into a list of matrices.
 #[derive(Debug)]
 pub enum CheckpointError {
     /// Underlying matrix decode failure.
@@ -18,7 +19,7 @@ pub enum CheckpointError {
     CountMismatch {
         /// Matrices in the snapshot.
         snapshot: usize,
-        /// Parameters in the target model.
+        /// Matrices in the target list.
         target: usize,
     },
     /// A matrix in the snapshot has a different shape than its target.
@@ -62,21 +63,23 @@ impl From<DecodeError> for CheckpointError {
     }
 }
 
-/// Serialize the values of `params` (gradients are not saved).
-pub fn snapshot(params: &[&Param]) -> Bytes {
+/// Serialize `matrices` as a count followed by each encoded matrix.
+pub fn snapshot(matrices: &[&Matrix]) -> Bytes {
     let mut buf = BytesMut::new();
     buf.reserve(8);
-    bytes::BufMut::put_u64_le(&mut buf, params.len() as u64);
-    for p in params {
-        encode_matrix(&p.value, &mut buf);
+    bytes::BufMut::put_u64_le(&mut buf, matrices.len() as u64);
+    for m in matrices {
+        encode_matrix(m, &mut buf);
     }
     buf.freeze()
 }
 
-/// Restore a snapshot produced by [`snapshot`] into `params`.
+/// Restore a snapshot produced by [`snapshot`] into `targets`.
 ///
-/// Shapes must match exactly; gradients are left untouched.
-pub fn restore(snapshot: &Bytes, params: &mut [&mut Param]) -> Result<(), CheckpointError> {
+/// The count and every shape must match exactly. The whole snapshot is
+/// decoded and checked before the first write, so on error every target
+/// is left untouched.
+pub fn restore(snapshot: &Bytes, targets: &mut [&mut Matrix]) -> Result<(), CheckpointError> {
     let mut buf = snapshot.clone();
     if bytes::Buf::remaining(&buf) < 8 {
         return Err(CheckpointError::Decode(DecodeError::Truncated {
@@ -85,27 +88,26 @@ pub fn restore(snapshot: &Bytes, params: &mut [&mut Param]) -> Result<(), Checkp
         }));
     }
     let count = bytes::Buf::get_u64_le(&mut buf) as usize;
-    if count != params.len() {
+    if count != targets.len() {
         return Err(CheckpointError::CountMismatch {
             snapshot: count,
-            target: params.len(),
+            target: targets.len(),
         });
     }
-    // Decode everything first so a mid-stream error leaves params intact.
     let mut decoded = Vec::with_capacity(count);
-    for (i, p) in params.iter().enumerate() {
+    for (i, t) in targets.iter().enumerate() {
         let m = decode_matrix(&mut buf)?;
-        if m.shape() != p.value.shape() {
+        if m.shape() != t.shape() {
             return Err(CheckpointError::ShapeMismatch {
                 index: i,
                 snapshot: m.shape(),
-                target: p.value.shape(),
+                target: t.shape(),
             });
         }
         decoded.push(m);
     }
-    for (p, m) in params.iter_mut().zip(decoded) {
-        p.value = m;
+    for (t, m) in targets.iter_mut().zip(decoded) {
+        **t = m;
     }
     Ok(())
 }
@@ -113,27 +115,25 @@ pub fn restore(snapshot: &Bytes, params: &mut [&mut Param]) -> Result<(), Checkp
 #[cfg(test)]
 mod tests {
     use super::*;
-    use etsb_tensor::Matrix;
 
     #[test]
     fn round_trip_restores_values() {
-        let mut a = Param::new(Matrix::from_fn(2, 3, |i, j| (i + j) as f32));
-        let mut b = Param::new(Matrix::identity(4));
+        let mut a = Matrix::from_fn(2, 3, |i, j| (i + j) as f32);
+        let mut b = Matrix::identity(4);
         let snap = snapshot(&[&a, &b]);
-        let (va, vb) = (a.value.clone(), b.value.clone());
-        a.value.fill_zero();
-        b.value.fill_zero();
+        let (va, vb) = (a.clone(), b.clone());
+        a.fill_zero();
+        b.fill_zero();
         restore(&snap, &mut [&mut a, &mut b]).unwrap();
-        assert_eq!(a.value, va);
-        assert_eq!(b.value, vb);
+        assert_eq!(a, va);
+        assert_eq!(b, vb);
     }
 
     #[test]
     fn count_mismatch_is_rejected() {
-        let a = Param::new(Matrix::zeros(1, 1));
-        let snap = snapshot(&[&a]);
-        let mut x = Param::new(Matrix::zeros(1, 1));
-        let mut y = Param::new(Matrix::zeros(1, 1));
+        let snap = snapshot(&[&Matrix::zeros(1, 1)]);
+        let mut x = Matrix::zeros(1, 1);
+        let mut y = Matrix::zeros(1, 1);
         assert!(matches!(
             restore(&snap, &mut [&mut x, &mut y]),
             Err(CheckpointError::CountMismatch { .. })
@@ -142,21 +142,24 @@ mod tests {
 
     #[test]
     fn shape_mismatch_leaves_params_untouched() {
-        let a = Param::new(Matrix::full(2, 2, 7.0));
-        let snap = snapshot(&[&a]);
-        let mut target = Param::new(Matrix::full(3, 3, 1.0));
+        // The first matrix matches, the second does not: neither target
+        // may change.
+        let snap = snapshot(&[&Matrix::full(1, 2, 5.0), &Matrix::full(2, 2, 7.0)]);
+        let mut first = Matrix::zeros(1, 2);
+        let mut second = Matrix::full(3, 3, 1.0);
         assert!(matches!(
-            restore(&snap, &mut [&mut target]),
-            Err(CheckpointError::ShapeMismatch { .. })
+            restore(&snap, &mut [&mut first, &mut second]),
+            Err(CheckpointError::ShapeMismatch { index: 1, .. })
         ));
-        assert_eq!(target.value, Matrix::full(3, 3, 1.0));
+        assert_eq!(first, Matrix::zeros(1, 2));
+        assert_eq!(second, Matrix::full(3, 3, 1.0));
     }
 
     #[test]
     fn snapshot_length_is_header_plus_matrices() {
-        // Values only: a snapshot of one 1x1 param is the 8-byte count
-        // header plus one encoded matrix — no gradient payload.
-        let a = Param::new(Matrix::zeros(1, 1));
+        // A snapshot of one 1x1 matrix is the 8-byte count header plus
+        // one encoded matrix.
+        let a = Matrix::zeros(1, 1);
         let single = snapshot(&[&a]).len();
         let double = snapshot(&[&a, &a]).len();
         assert_eq!(double - single, single - 8);

@@ -146,12 +146,17 @@ proptest! {
     fn snapshot_restore_is_identity(seed in 0u64..500, n in 1usize..5) {
         let mut rng = seeded_rng(seed);
         let cell = RnnCell::new(n, n, &mut rng);
-        let snap = etsb_nn::snapshot(&Recurrence::params(&cell));
+        let values: Vec<&Matrix> = Recurrence::params(&cell).iter().map(|p| &p.value).collect();
+        let snap = etsb_nn::snapshot(&values);
         let mut copy = cell.clone();
-        for p in Recurrence::params_mut(&mut copy) {
-            p.value.map_inplace(|x| x + 1.0);
+        let mut targets: Vec<&mut Matrix> = Recurrence::params_mut(&mut copy)
+            .into_iter()
+            .map(|p| &mut p.value)
+            .collect();
+        for m in targets.iter_mut() {
+            m.map_inplace(|x| x + 1.0);
         }
-        etsb_nn::restore(&snap, &mut Recurrence::params_mut(&mut copy)).unwrap();
+        etsb_nn::restore(&snap, &mut targets).unwrap();
         for (a, b) in Recurrence::params(&cell).iter().zip(Recurrence::params(&copy)) {
             prop_assert_eq!(&a.value, &b.value);
         }

@@ -425,11 +425,6 @@ impl<S: RowSource> FrameScan<S> {
         self.source.columns()
     }
 
-    /// The global per-attribute maxima this scan normalizes against.
-    pub fn max_len(&self) -> &[usize] {
-        &self.max_len
-    }
-
     /// Fill `chunk` with the next window of rows. Returns `false` when
     /// the source is exhausted (the chunk is then empty).
     pub fn next_chunk(&mut self, chunk: &mut ChunkedFrame) -> Result<bool, TableError> {

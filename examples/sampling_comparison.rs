@@ -84,7 +84,7 @@ fn main() {
                 },
                 seed: 100 + rep,
             };
-            let result = run_with_sample(&frame, &data, &sample, &cfg, 100 + rep);
+            let result = run_with_sample(&data, &sample, &cfg, 100 + rep);
             f1s.push(result.metrics.f1);
         }
         let f1 = etsb_core::eval::Summary::of(&f1s).expect("runs");
