@@ -1,8 +1,6 @@
 //! Fixture: compliant library-crate code. Must produce zero findings
 //! for every rule — anything reported here is a false positive.
 
-use rand::SeedableRng;
-
 /// A documented public matrix wrapper.
 pub struct Matrix {
     rows: usize,
@@ -29,18 +27,6 @@ impl Matrix {
     pub fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
     }
-
-    /// An annotated escape hatch for a justified invariant.
-    pub fn head(&self) -> f32 {
-        // etsb: allow(no-unwrap) -- construction guarantees non-empty data.
-        *self.data.first().expect("non-empty by construction")
-    }
-}
-
-/// Seeded randomness is the only sanctioned kind.
-pub fn seeded_roll(seed: u64) -> u64 {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    rng.next_u64()
 }
 
 /// Hash maps are fine when iteration order cannot escape: entry-style

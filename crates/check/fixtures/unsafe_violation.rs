@@ -24,7 +24,7 @@ pub fn inline_justified(v: &[u8]) -> u8 {
 
 /// Allow-annotated escape hatch.                             [no hit]
 pub fn annotated(v: &[u8]) -> u8 {
-    // etsb: allow(unsafe-safety-comment)
+    // etsb: allow(unsafe-safety-comment) -- exercises the annotation escape hatch.
     unsafe { *v.get_unchecked(0) }
 }
 

@@ -1,8 +1,14 @@
 //! `etsb-check`: a std-only, source-level static-analysis pass
 //! over the workspace — an *invariant auditor* for the contracts that
-//! keep the paper's 10-repetition evaluation protocol reproducible, the
-//! bitwise-determinism guarantee intact, and the library crates
-//! panic-free on malformed input.
+//! keep the paper's 10-repetition evaluation protocol reproducible and
+//! the bitwise-determinism guarantee intact, and that no compiler lint
+//! can express.
+//!
+//! Contracts a lint can state are the compiler's: the library crates'
+//! panic, stdio, whole-file-read and host-`tanh` floor is a clippy
+//! `cfg_attr(not(test), warn(...))` in each crate root plus the root
+//! `clippy.toml`, and documentation is `#![warn(missing_docs)]`
+//! (DESIGN.md §8.1).
 //!
 //! Every finding fails the check. A justified
 //! `// etsb: allow(<rule>) -- <reason>` on the offending line (or the
@@ -11,22 +17,10 @@
 //!
 //! Enforced rules:
 //!
-//! * **`no-unwrap`** — no `unwrap()` / `expect()` / `panic!` /
-//!   `unreachable!` / `todo!` / `unimplemented!` in the non-test code of
-//!   library crates.
-//! * **`no-unseeded-rng`** — no `thread_rng()` / `from_entropy()`
-//!   anywhere; every generator must derive from
-//!   `SeedableRng::seed_from_u64`.
 //! * **`shape-assert`** — every two-operand tensor/NN op in
 //!   `crates/tensor` and `crates/nn` must carry a shape assertion whose
 //!   message names the op (`"op_name: ..."` convention), so mismatches
 //!   panic with actionable context.
-//! * **`doc-pub`** — public items in `etsb-core` and `etsb-tensor` must
-//!   have doc comments.
-//! * **`no-print`** — no `println!` / `eprintln!` / `print!` /
-//!   `eprint!` in the non-test code of library crates: libraries report
-//!   through return values and the `etsb-obs` tracing layer, never by
-//!   writing to the process's stdio directly.
 //! * **`hash-iter-order`** — no iteration over `std`
 //!   `HashMap`/`HashSet` in result-affecting library code; hash order is
 //!   unspecified per process, so it must never reach losses,
@@ -39,21 +33,13 @@
 //!   intrinsics and `#[target_feature]` only inside the
 //!   `crates/tensor/src/simd/` kernel set; fused-multiply-add rounding
 //!   must never leak into the exact bitwise paths.
-//! * **`libm-tanh`** — no `.tanh(` in the non-test code of library
-//!   crates outside `crates/tensor/src/simd/`: exact paths call the
-//!   in-repo `tanh_exact`, so their bits never depend on the host libm.
 //! * **`into-no-alloc`** — `_into` kernel bodies must not allocate
 //!   (static twin of the counting-allocator regression test).
 //! * **`into-shape-assert`** — public `_into` kernels must open with a
 //!   shape assertion before writing through caller-provided buffers.
 //! * **`unsafe-safety-comment`** — every `unsafe` block, fn or impl
-//!   needs a `// SAFETY:` justification.
-//! * **`no-whole-file-read`** — no `read_to_string` / `fs::read` in the
-//!   non-test code of library crates or the CLI: the data path streams
-//!   through `BufRead` so peak memory stays O(chunk), and a whole-file
-//!   read is one large input away from undoing that. Blessed sites
-//!   (bounded model checkpoints, validation tools) carry allow
-//!   annotations.
+//!   needs a `// SAFETY:` justification (clippy's
+//!   `undocumented_unsafe_blocks` skips `unsafe fn`).
 //!
 //! The analysis is line-oriented over comment- and string-stripped
 //! source, with a lightweight function-span layer ([`fnmap`]) for the
@@ -70,26 +56,15 @@ mod strip;
 
 pub use strip::strip_comments_and_strings;
 
-/// Library crates in which panicking paths are forbidden (`no-unwrap`).
-pub const LIBRARY_CRATES: [&str; 8] = [
-    "tensor", "nn", "table", "datasets", "raha", "core", "repair", "serve",
-];
-
 /// Crates whose two-operand numeric ops must carry shape assertions.
 pub const SHAPE_CHECKED_CRATES: [&str; 2] = ["tensor", "nn"];
 
-/// Crates whose public items must be documented.
-pub const DOC_CHECKED_CRATES: [&str; 2] = ["core", "tensor"];
-
-/// Crates in which direct stdio output is forbidden (`no-print`) — the
-/// library crates. Binaries (`cli`, `bench`, `check`) and the obs sinks
-/// (whose job is writing to stderr) stay exempt.
-pub const PRINT_CHECKED_CRATES: [&str; 8] = LIBRARY_CRATES;
-
 /// Crates in which hash-container iteration is forbidden
-/// (`hash-iter-order`) — everything whose output can reach losses,
-/// predictions, manifests or CSV rows.
-pub const HASH_CHECKED_CRATES: [&str; 8] = LIBRARY_CRATES;
+/// (`hash-iter-order`) — the library crates, everything whose output can
+/// reach losses, predictions, manifests or CSV rows.
+pub const HASH_CHECKED_CRATES: [&str; 8] = [
+    "tensor", "nn", "table", "datasets", "raha", "core", "repair", "serve",
+];
 
 /// Crates whose float reductions must run through the blessed kernels
 /// (`float-reduce-order`).
@@ -117,15 +92,12 @@ pub const INTO_CHECKED_CRATES: [&str; 2] = SHAPE_CHECKED_CRATES;
 /// error lines and the `--explain` docs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
-    /// Violates a load-bearing contract of the reproduction — bitwise
-    /// reproducibility (results can silently differ between runs) or
-    /// O(chunk) streaming memory (one large input away from OOM).
+    /// Violates the reproduction's load-bearing contract, bitwise
+    /// reproducibility: results can silently differ between runs.
     Critical,
     /// Violates a robustness or kernel contract: panics without context,
     /// hidden allocation, unjustified `unsafe`.
     High,
-    /// Violates house style: documentation and stdio discipline.
-    Style,
 }
 
 impl Severity {
@@ -134,7 +106,6 @@ impl Severity {
         match self {
             Severity::Critical => "critical",
             Severity::High => "high",
-            Severity::Style => "style",
         }
     }
 }
@@ -148,16 +119,8 @@ impl fmt::Display for Severity {
 /// One invariant enforced by the checker.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
-    /// Panicking call in non-test library-crate code.
-    NoUnwrap,
-    /// Randomness not derived from an explicit seed.
-    NoUnseededRng,
     /// Two-operand tensor/NN op without an op-naming shape assertion.
     ShapeAssert,
-    /// Public item without a doc comment.
-    DocPub,
-    /// Direct stdio output in non-test library-crate code.
-    NoPrint,
     /// Iteration over a std hash container in result-affecting code.
     HashIterOrder,
     /// Order-sensitive float reduction outside the blessed kernels.
@@ -165,35 +128,25 @@ pub enum Rule {
     /// Fast-math primitive (`mul_add`, arch intrinsics,
     /// `#[target_feature]`) outside `crates/tensor/src/simd/`.
     FastMathConfinement,
-    /// Host-libm `tanh` call in non-test library code.
-    LibmTanh,
     /// Allocation inside an `_into` kernel body.
     IntoNoAlloc,
     /// Public `_into` kernel without an opening shape assertion.
     IntoShapeAssert,
     /// `unsafe` without a `// SAFETY:` justification.
     UnsafeSafetyComment,
-    /// Whole-file read (`read_to_string` / `fs::read`) on the data path.
-    NoWholeFileRead,
 }
 
 impl Rule {
     /// The rule's name as written in `// etsb: allow(<name>)`.
     pub fn name(self) -> &'static str {
         match self {
-            Rule::NoUnwrap => "no-unwrap",
-            Rule::NoUnseededRng => "no-unseeded-rng",
             Rule::ShapeAssert => "shape-assert",
-            Rule::DocPub => "doc-pub",
-            Rule::NoPrint => "no-print",
             Rule::HashIterOrder => "hash-iter-order",
             Rule::FloatReduceOrder => "float-reduce-order",
             Rule::FastMathConfinement => "fast-math-confinement",
-            Rule::LibmTanh => "libm-tanh",
             Rule::IntoNoAlloc => "into-no-alloc",
             Rule::IntoShapeAssert => "into-shape-assert",
             Rule::UnsafeSafetyComment => "unsafe-safety-comment",
-            Rule::NoWholeFileRead => "no-whole-file-read",
         }
     }
 
@@ -203,39 +156,28 @@ impl Rule {
     }
 
     /// All rules, in the order `--help` lists them.
-    pub fn all() -> [Rule; 13] {
+    pub fn all() -> [Rule; 7] {
         [
-            Rule::NoUnwrap,
-            Rule::NoUnseededRng,
             Rule::ShapeAssert,
-            Rule::DocPub,
-            Rule::NoPrint,
             Rule::HashIterOrder,
             Rule::FloatReduceOrder,
             Rule::FastMathConfinement,
-            Rule::LibmTanh,
             Rule::IntoNoAlloc,
             Rule::IntoShapeAssert,
             Rule::UnsafeSafetyComment,
-            Rule::NoWholeFileRead,
         ]
     }
 
     /// The rule's severity class.
     pub fn severity(self) -> Severity {
         match self {
-            Rule::NoUnseededRng
-            | Rule::HashIterOrder
-            | Rule::FloatReduceOrder
-            | Rule::FastMathConfinement
-            | Rule::LibmTanh
-            | Rule::NoWholeFileRead => Severity::Critical,
-            Rule::NoUnwrap
-            | Rule::ShapeAssert
+            Rule::HashIterOrder | Rule::FloatReduceOrder | Rule::FastMathConfinement => {
+                Severity::Critical
+            }
+            Rule::ShapeAssert
             | Rule::IntoNoAlloc
             | Rule::IntoShapeAssert
             | Rule::UnsafeSafetyComment => Severity::High,
-            Rule::DocPub | Rule::NoPrint => Severity::Style,
         }
     }
 
@@ -244,28 +186,6 @@ impl Rule {
     /// when an allow annotation is legitimate.
     pub fn explain(self) -> &'static str {
         match self {
-            Rule::NoUnwrap => {
-                "no-unwrap (high)\n\
-                 Contract: library crates must not panic on malformed input; errors\n\
-                 flow through Result so the CLI can report them with context.\n\
-                 Twin runtime check: the CSV/Dataset error-path tests in etsb-table\n\
-                 and etsb-datasets.\n\
-                 Fix: return Result, restructure so the invariant is expressed in\n\
-                 the types (let-else, unwrap_or, match), or prove the invariant\n\
-                 locally and use an allow annotation with the proof in the comment.\n\
-                 Allow when: the panic is unreachable by construction and the\n\
-                 comment says why."
-            }
-            Rule::NoUnseededRng => {
-                "no-unseeded-rng (critical)\n\
-                 Contract: every random draw derives from an explicit seed, so the\n\
-                 paper's 10-repetition protocol is exactly repeatable.\n\
-                 Twin runtime check: the determinism suite (same seed => bitwise\n\
-                 identical losses and predictions).\n\
-                 Fix: plumb a seed and use SeedableRng::seed_from_u64.\n\
-                 Allow when: never in this workspace; entropy-seeded RNGs have no\n\
-                 legitimate use here."
-            }
             Rule::ShapeAssert => {
                 "shape-assert (high)\n\
                  Contract: a two-operand tensor/NN op must validate operand shapes\n\
@@ -276,24 +196,6 @@ impl Rule {
                  to a shared checked kernel passing the op name as a literal.\n\
                  Allow when: the op provably has no shape precondition (e.g. a\n\
                  reshape into a resizable sink)."
-            }
-            Rule::DocPub => {
-                "doc-pub (style)\n\
-                 Contract: the public API of the core and tensor crates is the\n\
-                 reproduction's reference surface; every public item carries docs.\n\
-                 Twin runtime check: none (documentation is not executable).\n\
-                 Fix: write a /// doc comment saying what the item guarantees.\n\
-                 Allow when: the item is a trivial re-export shim pending removal."
-            }
-            Rule::NoPrint => {
-                "no-print (style)\n\
-                 Contract: library crates never write to the process stdio; all\n\
-                 reporting flows through return values and the etsb-obs tracing\n\
-                 layer, so the CLI owns the terminal.\n\
-                 Twin runtime check: trace_lint validates the structured stream\n\
-                 that replaces ad-hoc prints.\n\
-                 Fix: return the value, or emit a trace event.\n\
-                 Allow when: never in library code; put output in the binaries."
             }
             Rule::HashIterOrder => {
                 "hash-iter-order (critical)\n\
@@ -350,21 +252,6 @@ impl Rule {
                  Allow when: the value never reaches a result (e.g. a test's\n\
                  reference tolerance computation) and the comment says so."
             }
-            Rule::LibmTanh => {
-                "libm-tanh (critical)\n\
-                 Contract: Exact outputs are a property of the repo, not of\n\
-                 the host. f32::tanh calls the platform libm, whose tanhf\n\
-                 differs between glibc, musl and macOS, so every exact path\n\
-                 calls etsb_tensor::simd::tanh_exact, the in-repo port of\n\
-                 fdlibm's tanhf (bitwise equal to glibc's on every input).\n\
-                 Twin runtime check: the golden tanh hash and the AVX2-lanes-\n\
-                 vs-scalar-port tests in etsb-tensor/tests/exact_dispatch.rs,\n\
-                 and the golden exact-training hash in tests/determinism.rs.\n\
-                 Fix: call tanh_exact on the slice (or Activation::apply_inplace).\n\
-                 Allow when: the value never reaches a result and the comment\n\
-                 says so. Test code may compare against f32::tanh freely, and\n\
-                 crates/tensor/src/simd/ hosts the port itself."
-            }
             Rule::IntoNoAlloc => {
                 "into-no-alloc (high)\n\
                  Contract: _into kernels write into caller-provided buffers and\n\
@@ -405,23 +292,6 @@ impl Rule {
                  Allow when: never — if it is sound, the argument can be written\n\
                  down."
             }
-            Rule::NoWholeFileRead => {
-                "no-whole-file-read (critical)\n\
-                 Contract: the data path scales to tables larger than memory by\n\
-                 streaming through BufRead (DESIGN.md section 16); peak residency\n\
-                 is O(chunk_rows x attrs), independent of row count. A\n\
-                 read_to_string or fs::read of an input file re-introduces an\n\
-                 O(file) allocation that silently undoes that bound the day a\n\
-                 table outgrows RAM.\n\
-                 Twin runtime check: the tests/streaming_alloc.rs peak\n\
-                 assertion (peak resident bytes identical across row counts)\n\
-                 and the streaming-vs-in-memory equality suite.\n\
-                 Fix: open a BufReader and parse incrementally (CsvReader /\n\
-                 read_table), or stream through a RowSource.\n\
-                 Allow when: the file is bounded by construction — a model\n\
-                 checkpoint, a config, a validation tool's report — and the\n\
-                 comment says so."
-            }
         }
     }
 }
@@ -461,22 +331,10 @@ pub fn scan_source(rel: &str, source: &str) -> Vec<Finding> {
     let ctx = FileContext::classify(rel);
     let stripped = strip_comments_and_strings(source);
     let allows = rules::collect_allows(source);
-    let test_lines = rules::test_code_lines(source, &stripped);
+    let test_lines = rules::test_code_lines(&stripped);
     let mut findings = Vec::new();
-    if ctx.check_unwrap {
-        rules::check_no_unwrap(rel, source, &stripped, &test_lines, &allows, &mut findings);
-    }
-    if ctx.check_rng {
-        rules::check_no_unseeded_rng(rel, source, &stripped, &allows, &mut findings);
-    }
     if ctx.check_shapes {
         rules::check_shape_asserts(rel, source, &stripped, &test_lines, &allows, &mut findings);
-    }
-    if ctx.check_docs {
-        rules::check_doc_pub(rel, source, &stripped, &test_lines, &allows, &mut findings);
-    }
-    if ctx.check_print {
-        rules::check_no_print(rel, source, &stripped, &test_lines, &allows, &mut findings);
     }
     if ctx.check_hash {
         rules::check_hash_iter_order(rel, source, &stripped, &test_lines, &allows, &mut findings);
@@ -494,43 +352,24 @@ pub fn scan_source(rel: &str, source: &str) -> Vec<Finding> {
     if ctx.check_fast_math {
         rules::check_fast_math_confinement(rel, source, &stripped, &allows, &mut findings);
     }
-    if ctx.check_libm_tanh {
-        rules::check_libm_tanh(rel, source, &stripped, &test_lines, &allows, &mut findings);
-    }
     if ctx.check_into {
         rules::check_into_no_alloc(rel, source, &stripped, &test_lines, &allows, &mut findings);
-        rules::check_into_shape_assert(rel, source, &stripped, &test_lines, &allows, &mut findings);
+        rules::check_into_shape_assert(rel, &stripped, &test_lines, &allows, &mut findings);
     }
     if ctx.check_unsafe {
         rules::check_unsafe_safety_comment(rel, source, &stripped, &allows, &mut findings);
-    }
-    if ctx.check_whole_read {
-        rules::check_no_whole_file_read(
-            rel,
-            source,
-            &stripped,
-            &test_lines,
-            &allows,
-            &mut findings,
-        );
     }
     findings
 }
 
 /// Which rules apply to a file, derived from its workspace-relative path.
 struct FileContext {
-    check_unwrap: bool,
-    check_rng: bool,
     check_shapes: bool,
-    check_docs: bool,
-    check_print: bool,
     check_hash: bool,
     check_float: bool,
     check_fast_math: bool,
-    check_libm_tanh: bool,
     check_into: bool,
     check_unsafe: bool,
-    check_whole_read: bool,
 }
 
 impl FileContext {
@@ -538,41 +377,27 @@ impl FileContext {
         let rel = rel.replace('\\', "/");
         let in_crate_src =
             |krate: &str| rel.starts_with(&format!("crates/{krate}/src/")) && rel.ends_with(".rs");
-        let lib_src = LIBRARY_CRATES.iter().any(|c| in_crate_src(c));
-        // Seeded-randomness and unsafe-justification discipline cover
-        // everything that can run in an experiment: library code,
-        // binaries, integration tests and examples — a stray
-        // `thread_rng()` in a test breaks the 10-repetition protocol just
-        // as surely as one in `train.rs`, and an unjustified `unsafe` in
-        // a test allocator is exactly where UB likes to hide.
-        let broad_scope =
-            rel.starts_with("crates/") || rel.starts_with("tests/") || rel.starts_with("examples/");
+        // Unsafe-justification and fast-math discipline cover everything
+        // that can run in an experiment: library code, binaries,
+        // integration tests and examples — an unjustified `unsafe` in a
+        // test allocator is exactly where UB likes to hide, and a fused
+        // reference value in a test can mask the very divergence the
+        // exact path forbids.
+        let broad_scope = (rel.starts_with("crates/")
+            || rel.starts_with("tests/")
+            || rel.starts_with("examples/"))
+            && rel.ends_with(".rs");
         FileContext {
-            check_unwrap: lib_src,
-            check_rng: broad_scope && rel.ends_with(".rs"),
             check_shapes: SHAPE_CHECKED_CRATES.iter().any(|c| in_crate_src(c)),
-            check_docs: DOC_CHECKED_CRATES.iter().any(|c| in_crate_src(c)),
-            check_print: PRINT_CHECKED_CRATES.iter().any(|c| in_crate_src(c)),
             check_hash: HASH_CHECKED_CRATES.iter().any(|c| in_crate_src(c)),
             check_float: FLOAT_CHECKED_CRATES.iter().any(|c| in_crate_src(c))
                 && !FLOAT_BLESSED_FILES.contains(&rel.as_str())
                 && !rel.starts_with(SIMD_BLESSED_PREFIX),
             // Fast-math primitives are confined everywhere a float can
-            // reach a result — library code, binaries, tests — except
-            // the blessed SIMD kernel directory itself.
-            check_fast_math: broad_scope
-                && rel.ends_with(".rs")
-                && !rel.starts_with(SIMD_BLESSED_PREFIX),
-            // Library code only: tests compare against the libm, and the
-            // SIMD directory hosts the in-repo port.
-            check_libm_tanh: lib_src && !rel.starts_with(SIMD_BLESSED_PREFIX),
+            // reach a result, except the blessed SIMD kernel directory.
+            check_fast_math: broad_scope && !rel.starts_with(SIMD_BLESSED_PREFIX),
             check_into: INTO_CHECKED_CRATES.iter().any(|c| in_crate_src(c)),
-            check_unsafe: broad_scope && rel.ends_with(".rs"),
-            // Whole-file reads are confined wherever the data path runs:
-            // library crates and the CLI. Dev tooling (check, bench,
-            // obs lint bins) reads its own bounded reports and stays
-            // out of scope.
-            check_whole_read: lib_src || in_crate_src("cli"),
+            check_unsafe: broad_scope,
         }
     }
 }

@@ -9,13 +9,16 @@ use crate::fnmap::{function_spans, item_end};
 use crate::{Finding, Rule};
 use std::collections::HashSet;
 
-/// Per-line sets of rules disabled by `// etsb: allow(<rule>, ...)`.
-/// An annotation applies to its own line and to the line below it (so a
-/// comment-only line can shield the statement that follows).
+/// Per-line sets of rules disabled by
+/// `// etsb: allow(<rule>, ...) -- <reason>`. An annotation without a
+/// non-empty reason after `--` exempts nothing. An annotation applies to
+/// its own line and to the line below it (so a comment-only line can
+/// shield the statement that follows).
 pub fn collect_allows(source: &str) -> Vec<HashSet<Rule>> {
     let mut allows: Vec<HashSet<Rule>> = vec![HashSet::new(); source.lines().count()];
     for (i, line) in source.lines().enumerate() {
-        let Some(comment) = line.split("//").nth(1).map(|c| line_comment_tail(line, c)) else {
+        // The annotation must sit in a `//` comment.
+        let Some(comment) = line.find("//").map(|pos| &line[pos..]) else {
             continue;
         };
         let Some(idx) = comment.find("etsb: allow(") else {
@@ -25,6 +28,13 @@ pub fn collect_allows(source: &str) -> Vec<HashSet<Rule>> {
         let Some(close) = args.find(')') else {
             continue;
         };
+        let justified = args[close + 1..]
+            .trim_start()
+            .strip_prefix("--")
+            .is_some_and(|reason| !reason.trim().is_empty());
+        if !justified {
+            continue;
+        }
         for name in args[..close].split(',') {
             if let Some(rule) = Rule::from_name(name.trim()) {
                 allows[i].insert(rule);
@@ -32,15 +42,6 @@ pub fn collect_allows(source: &str) -> Vec<HashSet<Rule>> {
         }
     }
     allows
-}
-
-/// The annotation must sit in a `//` comment; return everything after
-/// the first `//` of the raw line.
-fn line_comment_tail<'a>(line: &'a str, _after: &str) -> &'a str {
-    match line.find("//") {
-        Some(pos) => &line[pos..],
-        None => "",
-    }
 }
 
 /// Whether the finding at `line` (0-based) is shielded by an allow for
@@ -51,8 +52,8 @@ fn allowed(allows: &[HashSet<Rule>], line: usize, rule: Rule) -> bool {
 }
 
 /// Mark lines that belong to `#[cfg(test)]`-gated items or `#[test]`
-/// functions: the no-unwrap / shape-assert / doc-pub rules skip them.
-pub fn test_code_lines(_source: &str, stripped: &str) -> Vec<bool> {
+/// functions: the library-code rules skip them.
+pub fn test_code_lines(stripped: &str) -> Vec<bool> {
     let lines: Vec<&str> = stripped.lines().collect();
     let mut in_test = vec![false; lines.len()];
     let mut i = 0;
@@ -71,47 +72,10 @@ pub fn test_code_lines(_source: &str, stripped: &str) -> Vec<bool> {
     in_test
 }
 
-/// Tokens forbidden in non-test library-crate code, with the matcher
-/// used for each.
-const PANIC_TOKENS: [&str; 6] = [
-    ".unwrap()",
-    ".expect(",
-    "panic!(",
-    "unreachable!(",
-    "todo!(",
-    "unimplemented!(",
-];
-
-/// Rule `no-unwrap`: panicking calls in non-test library code.
-pub fn check_no_unwrap(
-    rel: &str,
-    source: &str,
-    stripped: &str,
-    test_lines: &[bool],
-    allows: &[HashSet<Rule>],
-    findings: &mut Vec<Finding>,
-) {
-    for (i, line) in stripped.lines().enumerate() {
-        if test_lines.get(i).copied().unwrap_or(false) || allowed(allows, i, Rule::NoUnwrap) {
-            continue;
-        }
-        for token in PANIC_TOKENS {
-            for _ in 0..count_token(line, token) {
-                findings.push(Finding {
-                    rule: Rule::NoUnwrap,
-                    file: rel.to_string(),
-                    line: i + 1,
-                    snippet: raw_line(source, i),
-                });
-            }
-        }
-    }
-}
-
-/// Count non-overlapping occurrences of `token`, requiring that the
-/// match is not part of a longer identifier (so `.unwrap_or()` does not
-/// match `.unwrap`-style prefixes — exact tokens above already encode
-/// the closing delimiter, this guards the leading edge).
+/// Count non-overlapping occurrences of `token`, requiring that a token
+/// that opens with an identifier is not the tail of a longer one (so
+/// `my_format!(` does not match `format!(` — the tokens already encode
+/// their closing delimiter, this guards the leading edge).
 fn count_token(line: &str, token: &str) -> usize {
     let mut n = 0;
     let mut from = 0;
@@ -129,96 +93,6 @@ fn count_token(line: &str, token: &str) -> usize {
         from = abs + token.len();
     }
     n
-}
-
-/// Stdio macros forbidden in non-test library-crate code.
-const PRINT_TOKENS: [&str; 4] = ["println!(", "eprintln!(", "print!(", "eprint!("];
-
-/// Rule `no-print`: libraries must not write to the process's stdio —
-/// they report through return values and the `etsb-obs` tracing layer.
-pub fn check_no_print(
-    rel: &str,
-    source: &str,
-    stripped: &str,
-    test_lines: &[bool],
-    allows: &[HashSet<Rule>],
-    findings: &mut Vec<Finding>,
-) {
-    for (i, line) in stripped.lines().enumerate() {
-        if test_lines.get(i).copied().unwrap_or(false) || allowed(allows, i, Rule::NoPrint) {
-            continue;
-        }
-        for token in PRINT_TOKENS {
-            for _ in 0..count_token(line, token) {
-                findings.push(Finding {
-                    rule: Rule::NoPrint,
-                    file: rel.to_string(),
-                    line: i + 1,
-                    snippet: raw_line(source, i),
-                });
-            }
-        }
-    }
-}
-
-/// Whole-file read APIs forbidden on the data path (`no-whole-file-read`).
-const WHOLE_READ_TOKENS: [&str; 2] = ["read_to_string(", "fs::read("];
-
-/// Rule `no-whole-file-read`: the data path streams inputs through
-/// `BufRead` so peak memory is O(chunk); a `read_to_string` / `fs::read`
-/// is an O(file) allocation that undoes the bound on large tables.
-/// Bounded reads (model checkpoints, validation-tool reports) carry
-/// allow annotations; test code is exempt.
-pub fn check_no_whole_file_read(
-    rel: &str,
-    source: &str,
-    stripped: &str,
-    test_lines: &[bool],
-    allows: &[HashSet<Rule>],
-    findings: &mut Vec<Finding>,
-) {
-    for (i, line) in stripped.lines().enumerate() {
-        if test_lines.get(i).copied().unwrap_or(false) || allowed(allows, i, Rule::NoWholeFileRead)
-        {
-            continue;
-        }
-        for token in WHOLE_READ_TOKENS {
-            for _ in 0..count_token(line, token) {
-                findings.push(Finding {
-                    rule: Rule::NoWholeFileRead,
-                    file: rel.to_string(),
-                    line: i + 1,
-                    snippet: raw_line(source, i),
-                });
-            }
-        }
-    }
-}
-
-/// Rule `no-unseeded-rng`: all randomness must flow from an explicit
-/// seed; `thread_rng()` / `from_entropy()` make runs unrepeatable.
-pub fn check_no_unseeded_rng(
-    rel: &str,
-    source: &str,
-    stripped: &str,
-    allows: &[HashSet<Rule>],
-    findings: &mut Vec<Finding>,
-) {
-    for (i, line) in stripped.lines().enumerate() {
-        if allowed(allows, i, Rule::NoUnseededRng) {
-            continue;
-        }
-        for token in ["thread_rng(", "from_entropy("] {
-            for _ in 0..count_token(line, token) {
-                findings.push(Finding {
-                    rule: Rule::NoUnseededRng,
-                    file: rel.to_string(),
-                    line: i + 1,
-                    snippet: raw_line(source, i),
-                });
-            }
-        }
-    }
 }
 
 /// Rule `shape-assert`: a function that consumes two or more tensor-like
@@ -311,122 +185,6 @@ fn split_params(params: &str) -> Vec<&str> {
     }
     out.push(&params[start..]);
     out
-}
-
-/// Item keywords that require documentation when `pub`.
-const DOC_ITEMS: [&str; 8] = [
-    "fn", "struct", "enum", "trait", "mod", "const", "static", "type",
-];
-
-/// Rule `doc-pub`: public items in the API crates must carry docs.
-pub fn check_doc_pub(
-    rel: &str,
-    source: &str,
-    stripped: &str,
-    test_lines: &[bool],
-    allows: &[HashSet<Rule>],
-    findings: &mut Vec<Finding>,
-) {
-    let raw_lines: Vec<&str> = source.lines().collect();
-    let stripped_lines: Vec<&str> = stripped.lines().collect();
-    let attr_lines = attribute_lines(&stripped_lines);
-    for (i, line) in stripped_lines.iter().enumerate() {
-        if test_lines.get(i).copied().unwrap_or(false) || allowed(allows, i, Rule::DocPub) {
-            continue;
-        }
-        let t = line.trim_start();
-        let Some(rest) = t.strip_prefix("pub ") else {
-            continue;
-        };
-        let word = rest
-            .trim_start_matches("unsafe ")
-            .trim_start_matches("const ")
-            .trim_start_matches("async ")
-            .split_whitespace()
-            .next()
-            .unwrap_or("");
-        if !DOC_ITEMS.contains(&word) {
-            continue;
-        }
-        // `pub const fn` keeps `fn` as the item; `pub const NAME` keeps
-        // `const`. Both forms land in DOC_ITEMS, so either way this is a
-        // documentable public item.
-        if !has_doc_above(&raw_lines, &attr_lines, i) {
-            let name = rest
-                .split(['(', '<', '{', ':'])
-                .next()
-                .unwrap_or(rest)
-                .trim()
-                .trim_end_matches(';');
-            findings.push(Finding {
-                rule: Rule::DocPub,
-                file: rel.to_string(),
-                line: i + 1,
-                snippet: format!("undocumented public item: pub {name}"),
-            });
-        }
-    }
-}
-
-/// Mark lines occupied by (possibly multi-line) outer attributes.
-fn attribute_lines(stripped_lines: &[&str]) -> Vec<bool> {
-    let mut flags = vec![false; stripped_lines.len()];
-    let mut i = 0;
-    while i < stripped_lines.len() {
-        let t = stripped_lines[i].trim_start();
-        if t.starts_with("#[") || t.starts_with("#![") {
-            let mut depth = 0isize;
-            let mut j = i;
-            'outer: while j < stripped_lines.len() {
-                for c in stripped_lines[j].chars() {
-                    match c {
-                        '[' => depth += 1,
-                        ']' => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break 'outer;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                j += 1;
-            }
-            for flag in flags.iter_mut().take(j + 1).skip(i) {
-                *flag = true;
-            }
-            i = j + 1;
-        } else {
-            i += 1;
-        }
-    }
-    flags
-}
-
-/// Whether the item starting at line `i` has a `///` or `#[doc` line
-/// directly above it (attributes between docs and item are fine).
-fn has_doc_above(raw_lines: &[&str], attr_lines: &[bool], i: usize) -> bool {
-    let mut j = i;
-    while j > 0 {
-        j -= 1;
-        let t = raw_lines[j].trim_start();
-        if attr_lines.get(j).copied().unwrap_or(false) {
-            if t.contains("#[doc") {
-                return true;
-            }
-            continue;
-        }
-        if t.starts_with("///") || t.starts_with("//!") {
-            return true;
-        }
-        // Plain comments are transparent to the parser: a doc comment
-        // further up still attaches to the item through them.
-        if t.starts_with("//") {
-            continue;
-        }
-        return false;
-    }
-    false
 }
 
 // ---------------------------------------------------------------------
@@ -846,38 +604,6 @@ pub fn check_fast_math_confinement(
 }
 
 // ---------------------------------------------------------------------
-// libm-tanh
-// ---------------------------------------------------------------------
-
-/// Rule `libm-tanh`: a `.tanh(` method call in non-test library code
-/// reaches the host libm, whose `tanhf` bits differ between platforms.
-/// Exact paths call `etsb_tensor::simd::tanh_exact` instead (the path
-/// gate exempting `crates/tensor/src/simd/`, where the port lives, is in
-/// `FileContext`).
-pub fn check_libm_tanh(
-    rel: &str,
-    source: &str,
-    stripped: &str,
-    test_lines: &[bool],
-    allows: &[HashSet<Rule>],
-    findings: &mut Vec<Finding>,
-) {
-    for (i, line) in stripped.lines().enumerate() {
-        if test_lines.get(i).copied().unwrap_or(false) || allowed(allows, i, Rule::LibmTanh) {
-            continue;
-        }
-        for _ in 0..count_token(line, ".tanh(") {
-            findings.push(Finding {
-                rule: Rule::LibmTanh,
-                file: rel.to_string(),
-                line: i + 1,
-                snippet: raw_line(source, i),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // into-no-alloc / into-shape-assert
 // ---------------------------------------------------------------------
 
@@ -949,7 +675,6 @@ const INTO_ASSERT_WINDOW: usize = 10;
 /// any arithmetic runs.
 pub fn check_into_shape_assert(
     rel: &str,
-    _source: &str,
     stripped: &str,
     test_lines: &[bool],
     allows: &[HashSet<Rule>],

@@ -111,8 +111,10 @@ pub fn strip_comments_and_strings(source: &str) -> String {
                 }
             },
             Mode::Str => match (c, next) {
-                ('\\', Some(_)) => {
-                    out.push_str("  ");
+                // A `\` line continuation keeps its newline.
+                ('\\', Some(escaped)) => {
+                    out.push(' ');
+                    out.push(if escaped == '\n' { '\n' } else { ' ' });
                     i += 2;
                 }
                 ('"', _) => {
@@ -218,7 +220,7 @@ mod tests {
 
     #[test]
     fn preserves_line_count() {
-        let s = "a\n/* multi\nline\ncomment */\nb\n";
+        let s = "a\n/* multi\nline\ncomment */\nb\nlet s = \"one \\\n    two\";\nc\n";
         let out = strip_comments_and_strings(s);
         assert_eq!(s.lines().count(), out.lines().count());
     }

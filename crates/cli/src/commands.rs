@@ -442,7 +442,7 @@ pub fn detect(args: &[String]) -> Result<(), String> {
 /// `etsb apply`.
 pub fn apply(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args, &["model", "dirty", "out"])?;
-    // etsb: allow(no-whole-file-read) -- model checkpoints are bounded.
+    #[allow(clippy::disallowed_methods, reason = "model checkpoints are bounded")]
     let bytes = std::fs::read(required(&flags, "model")?).map_err(|e| e.to_string())?;
     let detector = load_detector(&bytes).map_err(|e| e.to_string())?;
     let dirty = csv::read_file(required(&flags, "dirty")?).map_err(|e| e.to_string())?;
@@ -527,7 +527,15 @@ pub fn serve(args: &[String]) -> Result<(), String> {
             cfg.prob_threshold
         ));
     }
-    // etsb: allow(no-whole-file-read) -- model checkpoints are bounded.
+    // A zero deadline expires every request in the admission queue, and a
+    // zero-cell queue turns every non-empty request away as overloaded.
+    if cfg.request_timeout.is_zero() {
+        return Err("--timeout-ms must be at least 1".to_string());
+    }
+    if cfg.queue_capacity_cells == 0 {
+        return Err("--queue-cells must be at least 1".to_string());
+    }
+    #[allow(clippy::disallowed_methods, reason = "model checkpoints are bounded")]
     let bytes = std::fs::read(required(&flags, "model")?).map_err(|e| e.to_string())?;
     let detector = load_detector(&bytes).map_err(|e| e.to_string())?;
     eprintln!(
@@ -804,6 +812,15 @@ mod tests {
                 err.starts_with("--threshold must be a probability in [0, 1], got "),
                 "--threshold {threshold}: {err}"
             );
+        }
+    }
+
+    #[test]
+    fn serve_rejects_a_zero_timeout_or_queue() {
+        for flag in ["timeout-ms", "queue-cells"] {
+            let err = serve(&flags(&[("model", "/nonexistent"), (flag, "0")]))
+                .expect_err("zero accepted");
+            assert_eq!(err, format!("--{flag} must be at least 1"));
         }
     }
 

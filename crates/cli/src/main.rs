@@ -12,6 +12,8 @@
 //! labelling of the 20 sampled tuples and (b) score the result — the same
 //! protocol as the paper's experiments.
 
+#![cfg_attr(not(test), warn(clippy::disallowed_methods))]
+
 mod commands;
 
 use std::process::ExitCode;

@@ -130,9 +130,9 @@ impl Summary {
         if n == 0 {
             return Err(EmptySample);
         }
-        // Sequential f64 accumulation over an already-ordered slice: the
-        // reduction order is pinned by construction, not by a kernel.
-        // etsb: allow(float-reduce-order)
+        // Both reductions below are pinned by construction, not by a
+        // kernel.
+        // etsb: allow(float-reduce-order) -- sequential f64 sum over an already-ordered slice.
         let mean = values.iter().sum::<f64>() / n as f64;
         // etsb: allow(float-reduce-order) -- same pinned sequential order.
         let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n as f64;

@@ -34,8 +34,8 @@ use rand::rngs::StdRng;
 /// invariant violation (caches are created by [`AnyStacked::empty_cache`]
 /// or the test-only allocating `forward` on the same instance), never a
 /// data error.
+#[allow(clippy::panic, reason = "cache variants are produced by this enum")]
 fn cache_mismatch() -> ! {
-    // etsb: allow(no-unwrap) -- internal invariant: cache variants are produced by this enum
     panic!("AnyStacked: cache kind does not match cell kind")
 }
 
@@ -44,7 +44,7 @@ fn cache_mismatch() -> ! {
 /// vanilla RNN / LSTM / GRU without changing the model code.
 // Variant sizes differ (LSTM carries 4x gate weights); one instance lives
 // per model, so the footprint difference is irrelevant.
-#[allow(clippy::large_enum_variant)]
+#[allow(clippy::large_enum_variant, reason = "one instance lives per model")]
 #[derive(Clone, Debug)]
 pub(crate) enum AnyStacked {
     Vanilla(StackedBiRnn<RnnCell>),
@@ -55,7 +55,7 @@ pub(crate) enum AnyStacked {
 /// Cache matching the active variant of [`AnyStacked`].
 // Variant sizes legitimately differ (LSTM caches gates and cell states);
 // these are short-lived per-sample values, not stored in bulk.
-#[allow(clippy::large_enum_variant)]
+#[allow(clippy::large_enum_variant, reason = "short-lived per-sample values")]
 #[derive(Clone, Debug)]
 pub(crate) enum AnyStackedCache {
     Vanilla(StackedBiRnnCache<RnnCell>),
@@ -1267,7 +1267,7 @@ mod tests {
     /// bit for bit.
     // The index drives `caches`, `grad_features` rows and the shard
     // arithmetic together; an iterator chain would obscure the replayed order.
-    #[allow(clippy::needless_range_loop)]
+    #[allow(clippy::needless_range_loop, reason = "the index drives three arrays")]
     fn reference_train_batch(
         model: &mut AnyModel,
         data: &EncodedDataset,

@@ -469,8 +469,8 @@ pub const MONTHS_ABBR: &[&str] = &[
 /// Centralizes the generators' vocabulary sampling so the non-emptiness
 /// argument lives in exactly one place: every list in this module (and
 /// every ad-hoc list the generators pass) is a non-empty literal.
+#[allow(clippy::expect_used, reason = "callers pass non-empty literal lists")]
 pub fn pick<'a, T, R: rand::Rng>(rng: &mut R, list: &'a [T]) -> &'a T {
     use rand::seq::SliceRandom;
-    // etsb: allow(no-unwrap) -- callers pass non-empty literal lists; see doc above.
     list.choose(rng).expect("vocab::pick: empty list")
 }

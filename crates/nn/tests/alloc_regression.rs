@@ -10,7 +10,7 @@
 //
 // A test-only global allocator shim is the one legitimate unsafe block in
 // the workspace; the deny-by-default lint stays on everywhere else.
-#![allow(unsafe_code)]
+#![allow(unsafe_code, reason = "test-only counting global allocator shim")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -24,6 +24,20 @@
 //!    ([`LogisticRegression`]) generalizes to the rest.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::disallowed_methods
+    )
+)]
 
 mod classifier;
 mod cluster;

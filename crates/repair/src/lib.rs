@@ -26,6 +26,20 @@
 //! accuracy, and cell correctness before vs after repair).
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::disallowed_methods
+    )
+)]
 
 mod distance;
 mod fd;

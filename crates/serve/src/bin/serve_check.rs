@@ -12,7 +12,6 @@ use std::io::Write;
 use std::process::ExitCode;
 
 fn validate(path: &str, out: &mut impl Write) -> Result<(), String> {
-    // etsb: allow(no-whole-file-read) -- validation tool over a bounded smoke-test transcript.
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let mut checked = 0usize;
     for (lineno, line) in text.lines().enumerate() {
@@ -29,9 +28,7 @@ fn validate(path: &str, out: &mut impl Write) -> Result<(), String> {
 }
 
 fn equal(path_a: &str, path_b: &str, out: &mut impl Write) -> Result<(), String> {
-    // etsb: allow(no-whole-file-read) -- byte-equality over bounded smoke-test transcripts.
     let a = std::fs::read(path_a).map_err(|e| format!("reading {path_a}: {e}"))?;
-    // etsb: allow(no-whole-file-read) -- byte-equality over bounded smoke-test transcripts.
     let b = std::fs::read(path_b).map_err(|e| format!("reading {path_b}: {e}"))?;
     if a != b {
         let text_a = String::from_utf8_lossy(&a);

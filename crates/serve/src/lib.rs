@@ -30,6 +30,21 @@
 //! `tests/serve.rs` and the `serve_check` smoke binary assert this end
 //! to end.
 
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::disallowed_methods
+    )
+)]
+
 pub mod engine;
 pub mod http;
 pub mod protocol;

@@ -4,8 +4,9 @@
 //! kernel policy), LRU bounds, backpressure, timeout expiry, drain
 //! semantics, and both front ends.
 //!
-//! Integration tests are exempt from the library no-unwrap discipline;
-//! panics here are test failures, not service behaviour.
+//! Integration tests sit outside the library crates' clippy panic floor
+//! (`unwrap_used`, `panic`, ...); panics here are test failures, not
+//! service behaviour.
 
 use etsb_core::config::{CellKind, ModelKind, TrainConfig};
 use etsb_core::model::AnyModel;
@@ -361,6 +362,15 @@ fn http_front_end_round_trips() {
     let addr = listener.local_addr().unwrap();
     let stop = AtomicBool::new(false);
 
+    // Stops the accept loop when dropped, so a failed assertion unwinds
+    // through the scope and is reported instead of waiting on the server.
+    struct StopOnDrop<'a>(&'a AtomicBool);
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+
     let fetch = |request: String| -> String {
         let mut stream = TcpStream::connect(addr).unwrap();
         stream.write_all(request.as_bytes()).unwrap();
@@ -371,6 +381,7 @@ fn http_front_end_round_trips() {
 
     std::thread::scope(|scope| {
         let server = scope.spawn(|| etsb_serve::http::run(&service, listener, &stop));
+        let stop_server = StopOnDrop(&stop);
 
         let health = fetch("GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n".to_string());
         assert!(health.starts_with("HTTP/1.1 200"), "{health}");
@@ -430,7 +441,7 @@ fn http_front_end_round_trips() {
         let missing = fetch("GET /nowhere HTTP/1.1\r\nHost: x\r\n\r\n".to_string());
         assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
 
-        stop.store(true, Ordering::SeqCst);
+        drop(stop_server);
         server.join().unwrap().unwrap();
     });
 }

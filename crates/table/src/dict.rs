@@ -33,9 +33,9 @@ impl CharIndex {
     /// Export the dictionary as `(char, index)` pairs sorted by index —
     /// the serialization form used by model persistence.
     pub fn entries(&self) -> Vec<(char, usize)> {
-        // Iterate-then-sort by the unique index: the hash order never
-        // survives to the output, and lookups stay O(1) on the hot path.
-        // etsb: allow(hash-iter-order)
+        // Lookups stay O(1) on the hot path, and the hash order never
+        // survives to the output.
+        // etsb: allow(hash-iter-order) -- iterate-then-sort by the unique index.
         let mut v: Vec<(char, usize)> = self.map.iter().map(|(&c, &i)| (c, i)).collect();
         v.sort_by_key(|&(_, i)| i);
         v

@@ -22,6 +22,20 @@
 //! * [`stats`] — the dataset statistics reported in the paper's Table 2.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::disallowed_methods
+    )
+)]
 
 mod cellframe;
 mod dict;

@@ -14,6 +14,7 @@
 /// ops); `op` names the operation that produced the buffer.
 #[cfg(feature = "sanitize")]
 #[inline]
+#[allow(clippy::panic, reason = "panicking with diagnostics is the contract")]
 pub fn assert_finite(layer: &str, op: &str, data: &[f32]) {
     for (i, &v) in data.iter().enumerate() {
         if !v.is_finite() {
@@ -26,7 +27,6 @@ pub fn assert_finite(layer: &str, op: &str, data: &[f32]) {
                 "index" => i,
                 "value" => v as f64,
             );
-            // etsb: allow(no-unwrap) -- panicking with diagnostics is this hook's contract.
             panic!("sanitize: non-finite value {v} at flat index {i} (layer `{layer}`, op `{op}`)");
         }
     }

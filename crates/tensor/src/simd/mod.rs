@@ -154,7 +154,7 @@ impl Matrix {
     /// to the exact result.
     // Dispatching into the runtime-verified AVX2 kernels is the one
     // sanctioned unsafe_code opt-out outside `simd/x86.rs`.
-    #[allow(unsafe_code)]
+    #[allow(unsafe_code, reason = "dispatch into runtime-verified AVX2 kernels")]
     pub fn matmul_window_policy_into(
         &self,
         row_start: usize,
@@ -209,7 +209,7 @@ impl Matrix {
 /// `Matrix` product methods run it on [`active_backend`]; the bitwise
 /// backend-equivalence tests call it with each backend.
 // Dispatch into the AVX2 shims (see the policy methods).
-#[allow(unsafe_code)]
+#[allow(unsafe_code, reason = "dispatch into the AVX2 shims")]
 pub fn matmul_window_exact_with(
     backend: Backend,
     a: &Matrix,
@@ -239,7 +239,7 @@ pub fn matmul_window_exact_with(
 /// Exact `a @ b.T` on an explicit backend, `out` reshaped to
 /// `a.rows() x b.rows()` (the body of [`Matrix::matmul_transposed`]).
 // Dispatch into the AVX2 shims (see the policy methods).
-#[allow(unsafe_code)]
+#[allow(unsafe_code, reason = "dispatch into the AVX2 shims")]
 pub fn matmul_transposed_exact_with(backend: Backend, a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(
         a.cols(),
@@ -262,8 +262,8 @@ pub fn matmul_transposed_exact_with(backend: Backend, a: &Matrix, b: &Matrix, ou
 
 /// Exact [`Matrix::add_transposed_matmul_blocked`] on an explicit
 /// backend: `acc[i][j] += Σ_k a[a_start+k][i] · b[b_start+k][j]`.
-// Dispatch into the AVX2 shims (see the policy methods).
-#[allow(unsafe_code, clippy::too_many_arguments)]
+#[allow(unsafe_code, reason = "dispatch into the AVX2 shims")]
+#[allow(clippy::too_many_arguments, reason = "one argument per kernel operand")]
 pub fn add_transposed_matmul_blocked_exact_with(
     backend: Backend,
     acc: &mut Matrix,
@@ -316,7 +316,7 @@ pub fn tanh_exact(xs: &mut [f32]) {
 
 /// Explicit-backend exact tanh, for the dispatch-correctness tests.
 // Dispatch into runtime-verified AVX2 kernels (see the policy methods).
-#[allow(unsafe_code)]
+#[allow(unsafe_code, reason = "dispatch into runtime-verified AVX2 kernels")]
 pub fn tanh_exact_with(backend: Backend, xs: &mut [f32]) {
     match backend {
         Backend::Portable => portable::tanh_exact_inplace(xs),
@@ -332,7 +332,7 @@ pub fn tanh_exact_with(backend: Backend, xs: &mut [f32]) {
 /// impossible for `Avx2` on a non-AVX2 host because the variant cannot
 /// be constructed there (`cfg`-gated).
 // Dispatch into runtime-verified AVX2 kernels (see the policy methods).
-#[allow(unsafe_code)]
+#[allow(unsafe_code, reason = "dispatch into runtime-verified AVX2 kernels")]
 pub fn matmul_window_fast_with(
     backend: Backend,
     a: &Matrix,
@@ -379,7 +379,7 @@ pub fn tanh_fast(xs: &mut [f32]) {
 
 /// Explicit-backend FastMath tanh, for the dispatch-correctness tests.
 // Dispatch into runtime-verified AVX2 kernels (see the policy methods).
-#[allow(unsafe_code)]
+#[allow(unsafe_code, reason = "dispatch into runtime-verified AVX2 kernels")]
 pub fn tanh_fast_with(backend: Backend, xs: &mut [f32]) {
     match backend {
         Backend::Portable => portable::tanh_inplace(xs),

@@ -25,7 +25,7 @@
 // deny: SIMD intrinsics are unsafe by definition, and this module is
 // the blessed home for them (enforced by the `fast-math-confinement`
 // check rule).
-#![allow(unsafe_code)]
+#![allow(unsafe_code, reason = "SIMD intrinsics are unsafe by definition")]
 
 use super::portable::{
     self, EXPM1_3HALF_LN2, EXPM1_HALF_LN2, EXPM1_Q, EXPM1_TINY, INV_LN2, LN2_HI, LN2_LO,

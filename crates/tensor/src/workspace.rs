@@ -72,7 +72,7 @@ impl Workspace {
     pub fn pooled(&self) -> usize {
         // Commutative usize sums over pool sizes: iteration order cannot
         // change the result, so the maps keep their O(1) hot-path lookups.
-        self.vecs.values().map(Vec::len).sum::<usize>() // etsb: allow(hash-iter-order)
+        self.vecs.values().map(Vec::len).sum::<usize>() // etsb: allow(hash-iter-order) -- commutative usize sums
             + self.mats.values().map(Vec::len).sum::<usize>()
     }
 

@@ -6,20 +6,31 @@
 #
 # Gates, in order:
 #   1. cargo fmt --check               -- formatting drift
-#   2. cargo clippy -D warnings        -- compiler + clippy lint floor
+#   2. cargo clippy -D warnings        -- compiler + clippy lint floor,
+#                                         with default features and with
+#                                         --all-features (only the latter
+#                                         compiles the sanitize hook). The
+#                                         library crate roots warn on
+#                                         unwrap/expect/panic-family
+#                                         macros, stdio prints and the
+#                                         clippy.toml disallowed methods
+#                                         (whole-file reads, host tanh)
+#                                         outside tests; missing_docs
+#                                         holds doc coverage; every
+#                                         #[allow] needs a reason = "..."
 #   3. rustdoc -D warnings             -- every intra-doc link resolves and
 #                                         no public doc links a private
 #                                         item, so a deleted or renamed
 #                                         type cannot leave broken links
-#   4. etsb-check                      -- project-specific invariants
-#                                         (panic discipline, seeded RNG,
-#                                         shape asserts, doc coverage,
-#                                         hash/float determinism, _into
+#   4. etsb-check                      -- the seven project rules no
+#                                         lint can express (shape asserts,
+#                                         hash/float determinism,
+#                                         fast-math confinement, _into
 #                                         kernel contracts, unsafe
-#                                         discipline); every finding
+#                                         SAFETY comments); every finding
 #                                         fails unless a justified
-#                                         `// etsb: allow(<rule>)`
-#                                         annotation exempts its line
+#                                         `// etsb: allow(<rule>) --
+#                                         <reason>` exempts its line
 #   5. perfbench compiles              -- cargo check of the end-to-end
 #                                         benchmark package (perfbench/,
 #                                         outside the workspace, so no
@@ -73,6 +84,8 @@ cargo fmt --check
 
 step "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+step "cargo clippy --workspace --all-targets --all-features -- -D warnings"
+cargo clippy --workspace --all-targets --all-features -- -D warnings
 
 step "rustdoc -D warnings (cargo doc --workspace --no-deps)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps

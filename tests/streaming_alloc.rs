@@ -12,7 +12,7 @@
 //
 // A test-only global allocator shim is a sanctioned unsafe site; the
 // deny-by-default lint stays on everywhere else.
-#![allow(unsafe_code)]
+#![allow(unsafe_code, reason = "test-only counting global allocator shim")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
