@@ -13,10 +13,13 @@
 //! to one whole-table `predict_probs_with` call over the in-memory
 //! encoding. See DESIGN.md §16 for the full equivalence argument.
 //!
-//! All chunk-sized buffers (the merged cells, the encoded sequences, the
-//! prediction vectors) are recycled between chunks, so steady-state
-//! streaming performs a bounded number of allocations per chunk and peak
-//! memory is O(`chunk_rows` × attrs), independent of the row count.
+//! Each chunk encodes and scores every distinct `(attribute, value)` pair
+//! once and copies the probability to the pair's other cells, which
+//! moves no bit and no cache operation (DESIGN.md §16.2). All chunk-sized
+//! buffers (the merged cells, the encoded sequences, the prediction
+//! vectors) are recycled between chunks, so steady-state streaming
+//! performs a bounded number of allocations per chunk and peak memory is
+//! O(`chunk_rows` × attrs), independent of the row count.
 
 use crate::cache::PredictCache;
 use crate::encode::EncodedDataset;
@@ -25,6 +28,7 @@ use crate::model::AnyModel;
 use etsb_table::scan::{ChunkedFrame, FrameScan, RowSource};
 use etsb_table::{AttrIndex, CharIndex, TableError};
 use etsb_tensor::KernelPolicy;
+use std::collections::HashMap;
 
 /// Error from a streaming detection pass.
 #[derive(Clone, Debug, PartialEq)]
@@ -130,11 +134,24 @@ pub struct StreamOutcome {
     pub peak_encoded_bytes: usize,
 }
 
-/// Reusable frozen-dict encoder: refills one [`EncodedDataset`] from a
-/// chunk, recycling the per-cell sequence buffers.
+/// Reusable frozen-dict encoder: refills one [`EncodedDataset`] with the
+/// distinct `(attribute, value)` pairs of a chunk, recycling the
+/// per-value sequence buffers.
+///
+/// Cells of one chunk that share an attribute and a dirty value share
+/// every model input: the same characters give the same sequence, and
+/// the same length against the same per-attribute maximum gives the same
+/// `length_norm`. So only the first cell of each pair is encoded, and
+/// `slots` maps every chunk cell to that representative. The first cell
+/// with a given memo key is also the first with its `(attribute, value)`,
+/// so the representatives reach the memo in the order the chunk's cells
+/// would: every `PredictCache` get and insert and the forward batch stay
+/// exactly those of a per-cell encoding.
 struct ChunkEncoder {
     data: EncodedDataset,
     spare: Vec<Vec<usize>>,
+    /// Per chunk cell, the index of its representative in `data`.
+    slots: Vec<usize>,
 }
 
 impl ChunkEncoder {
@@ -142,6 +159,7 @@ impl ChunkEncoder {
         Self {
             data: EncodedDataset::empty_with_dicts(char_index.clone(), attr_index.clone()),
             spare: Vec::new(),
+            slots: Vec::new(),
         }
     }
 
@@ -151,13 +169,23 @@ impl ChunkEncoder {
         data.attr_ids.clear();
         data.length_norms.clear();
         data.labels.clear();
+        self.slots.clear();
+        let mut first: HashMap<(usize, &str), usize> = HashMap::new();
         for cell in chunk.cells() {
-            let mut seq = self.spare.pop().unwrap_or_default();
-            data.char_index.encode_into(&cell.value_x, &mut seq);
-            data.sequences.push(seq);
-            data.attr_ids.push(cell.attr);
-            data.length_norms.push(cell.length_norm);
-            data.labels.push(cell.label);
+            let next = data.sequences.len();
+            let slot = *first
+                .entry((cell.attr, cell.value_x.as_str()))
+                .or_insert_with(|| {
+                    let mut seq = self.spare.pop().unwrap_or_default();
+                    data.char_index.encode_into(&cell.value_x, &mut seq);
+                    data.sequences.push(seq);
+                    data.attr_ids.push(cell.attr);
+                    data.length_norms.push(cell.length_norm);
+                    // Sinks read labels from the chunk's cells.
+                    data.labels.push(false);
+                    next
+                });
+            self.slots.push(slot);
         }
         data.n_tuples = chunk.n_tuples();
         data.n_attrs = chunk.n_attrs();
@@ -172,7 +200,8 @@ impl ChunkEncoder {
             .chain(self.spare.iter())
             .map(|s| s.capacity() * std::mem::size_of::<usize>())
             .sum();
-        live + self.data.attr_ids.capacity() * std::mem::size_of::<usize>()
+        live + (self.data.attr_ids.capacity() + self.slots.capacity())
+            * std::mem::size_of::<usize>()
             + self.data.length_norms.capacity() * std::mem::size_of::<f32>()
             + self.data.labels.capacity()
     }
@@ -215,15 +244,18 @@ pub fn stream_predict<S: RowSource>(
 
     let mut encoder = ChunkEncoder::new(char_index, attr_index);
     let mut chunk = ChunkedFrame::new();
-    let mut cell_ids: Vec<usize> = Vec::new();
+    let mut rep_ids: Vec<usize> = Vec::new();
+    let mut probs: Vec<f32> = Vec::new();
     let mut preds: Vec<bool> = Vec::new();
     let mut outcome = StreamOutcome::default();
 
     while scan.next_chunk(&mut chunk)? {
         encoder.refill(&chunk);
-        cell_ids.clear();
-        cell_ids.extend(0..encoder.data.n_cells());
-        let probs = model.predict_probs_cached_with(&encoder.data, &cell_ids, cache, policy);
+        rep_ids.clear();
+        rep_ids.extend(0..encoder.data.n_cells());
+        let rep_probs = model.predict_probs_cached_with(&encoder.data, &rep_ids, cache, policy);
+        probs.clear();
+        probs.extend(encoder.slots.iter().map(|&slot| rep_probs[slot]));
         preds.clear();
         preds.extend(probs.iter().map(|&p| p >= 0.5));
 
@@ -248,7 +280,7 @@ mod tests {
     use super::*;
     use crate::config::{ModelKind, TrainConfig};
     use etsb_table::scan::{scan_stats, TableSource};
-    use etsb_table::{CellFrame, Table};
+    use etsb_table::{CellFrame, Table, PAD_INDEX};
     use etsb_tensor::init::seeded_rng;
 
     fn pair() -> (Table, Table) {
@@ -346,6 +378,76 @@ mod tests {
         let reference_bits: Vec<u32> = reference.iter().map(|p| p.to_bits()).collect();
         let streamed_bits: Vec<u32> = streamed.iter().map(|p| p.to_bits()).collect();
         assert_eq!(streamed_bits, reference_bits);
+    }
+
+    #[test]
+    fn repeated_values_keep_bits_labels_and_cache_work() {
+        let (d, c) = pair();
+        let train = EncodedDataset::from_frame(&CellFrame::merge(&d, &c).unwrap());
+        let model = AnyModel::new(ModelKind::Etsb, &train, &small_cfg(), &mut seeded_rng(7));
+        // "v1" appears under both attributes. The training alphabet lacks
+        // 'q' and 'z', so "qq" and "zz" both encode to [PAD, PAD]. "w2"
+        // is correct in row 1 and an error in rows 2 and 4.
+        let mut dirty = Table::with_columns(&["a", "b"]);
+        let mut clean = Table::with_columns(&["a", "b"]);
+        for (observed, truth) in [
+            (["v1", "v1"], ["v1", "v1"]),
+            (["qq", "w2"], ["v2", "w2"]),
+            (["zz", "w2"], ["v3", "w1"]),
+            (["v1", "qq"], ["v1", "qq"]),
+            (["zz", "w2"], ["zz", "w3"]),
+        ] {
+            dirty.push_row_strs(&observed);
+            clean.push_row_strs(&truth);
+        }
+        let truth = CellFrame::merge(&dirty, &clean).unwrap();
+        let per_cell =
+            EncodedDataset::from_dirty_table(&dirty, &train.char_index, &train.attr_index).unwrap();
+        assert_eq!(per_cell.sequences[2], vec![PAD_INDEX; 2]);
+        assert_eq!(per_cell.sequences[4], per_cell.sequences[2]);
+        let all: Vec<usize> = (0..per_cell.n_cells()).collect();
+        let reference = model.predict_probs_with(&per_cell, &all, KernelPolicy::Exact);
+        let reference_bits: Vec<u32> = reference.iter().map(|p| p.to_bits()).collect();
+        let labels: Vec<bool> = truth.cells().iter().map(|cell| cell.label).collect();
+
+        for chunk_rows in [1usize, 2, 3, 5] {
+            for capacity in [0usize, 2, 1024] {
+                // The per-cell encoding's cache traffic, chunk by chunk.
+                let mut per_cell_cache = PredictCache::new(capacity);
+                for cells in all.chunks(chunk_rows * 2) {
+                    model.predict_probs_cached_with(
+                        &per_cell,
+                        cells,
+                        &mut per_cell_cache,
+                        KernelPolicy::Exact,
+                    );
+                }
+
+                let mut source = TableSource::pair(&dirty, &clean).unwrap();
+                let (stats, _) = scan_stats(&mut source).unwrap();
+                let mut scan = FrameScan::new(source, stats.max_len, chunk_rows);
+                let mut cache = PredictCache::new(capacity);
+                let (mut bits, mut streamed_labels) = (Vec::new(), Vec::new());
+                stream_predict(
+                    &model,
+                    &train.char_index,
+                    &train.attr_index,
+                    &mut scan,
+                    &mut cache,
+                    KernelPolicy::Exact,
+                    |chunk| {
+                        bits.extend(chunk.probs.iter().map(|p| p.to_bits()));
+                        streamed_labels.extend(chunk.frame.cells().iter().map(|cell| cell.label));
+                        Ok(())
+                    },
+                )
+                .unwrap();
+                let case = format!("chunk_rows={chunk_rows} capacity={capacity}");
+                assert_eq!(bits, reference_bits, "{case}");
+                assert_eq!(streamed_labels, labels, "{case}");
+                assert_eq!(cache.stats(), per_cell_cache.stats(), "{case}");
+            }
+        }
     }
 
     #[test]

@@ -32,12 +32,16 @@ pub fn normalize_value(raw: &str) -> String {
 pub fn normalize_value_into(raw: &str, out: &mut String) {
     out.clear();
     let trimmed = raw.trim_start();
-    for (n, ch) in trimmed.chars().enumerate() {
-        if n == MAX_VALUE_LEN {
-            return;
-        }
-        out.push(ch);
-    }
+    // A value of at most MAX_VALUE_LEN bytes has at most that many chars.
+    let end = if trimmed.len() <= MAX_VALUE_LEN {
+        trimmed.len()
+    } else {
+        trimmed
+            .char_indices()
+            .nth(MAX_VALUE_LEN)
+            .map_or(trimmed.len(), |(at, _)| at)
+    };
+    out.push_str(&trimmed[..end]);
 }
 
 /// One cell of the merged long-format dataset.
@@ -240,6 +244,24 @@ mod tests {
         assert_eq!(frame.cells()[0].value_x.chars().count(), MAX_VALUE_LEN);
         // Equal after truncation → still labelled correct.
         assert!(!frame.cells()[0].label);
+    }
+
+    #[test]
+    fn normalization_caps_chars_not_bytes() {
+        let reference =
+            |raw: &str| -> String { raw.trim_start().chars().take(MAX_VALUE_LEN).collect() };
+        for raw in [
+            String::new(),
+            "  \t ".to_string(),
+            " x".repeat(200),
+            "é".repeat(MAX_VALUE_LEN),
+            format!("  {}", "é".repeat(MAX_VALUE_LEN + 1)),
+            "東".repeat(50),
+            format!("{}東", "a".repeat(MAX_VALUE_LEN - 1)),
+            format!("{}東", "a".repeat(MAX_VALUE_LEN)),
+        ] {
+            assert_eq!(normalize_value(&raw), reference(&raw), "{raw:?}");
+        }
     }
 
     #[test]

@@ -226,24 +226,49 @@ impl<R: BufRead> CsvReader<R> {
                 if terminated {
                     self.next_line += 1;
                 }
-                let mut chars = self.line_buf.chars().peekable();
-                while let Some(ch) = chars.next() {
+                // Runs of ordinary bytes are copied with one `push_str`
+                // each. Every byte the grammar looks at is ASCII, so every
+                // run boundary falls on a char boundary.
+                let text = self.line_buf.as_str();
+                let bytes = text.as_bytes();
+                let mut at = 0;
+                while at < bytes.len() {
                     if in_quotes {
-                        if ch == '"' {
-                            if chars.peek() == Some(&'"') {
-                                chars.next();
-                                record.current().push('"');
-                            } else {
-                                in_quotes = false;
-                                after_close = true;
-                            }
+                        let end = text[at..].find('"').map_or(bytes.len(), |n| at + n);
+                        record.current().push_str(&text[at..end]);
+                        if end == bytes.len() {
+                            break;
+                        }
+                        if bytes.get(end + 1) == Some(&b'"') {
+                            record.current().push('"');
+                            at = end + 2;
                         } else {
-                            record.current().push(ch);
+                            in_quotes = false;
+                            after_close = true;
+                            at = end + 1;
                         }
                         continue;
                     }
-                    match ch {
-                        '"' => {
+                    let end = bytes[at..]
+                        .iter()
+                        .position(|b| matches!(b, b'"' | b',' | b'\r' | b'\n'))
+                        .map_or(bytes.len(), |n| at + n);
+                    if end > at {
+                        if after_close {
+                            return Err(TableError::Csv {
+                                line,
+                                message: "unexpected text after closing quote".into(),
+                            });
+                        }
+                        record.current().push_str(&text[at..end]);
+                        any_content = true;
+                    }
+                    let Some(&byte) = bytes.get(end) else {
+                        break;
+                    };
+                    at = end + 1;
+                    match byte {
+                        b'"' => {
                             if after_close || !record.current().is_empty() {
                                 return Err(TableError::Csv {
                                     line,
@@ -253,27 +278,28 @@ impl<R: BufRead> CsvReader<R> {
                             in_quotes = true;
                             any_content = true;
                         }
-                        ',' => {
+                        b',' => {
                             record.open_field();
                             after_close = false;
                             any_content = true;
                         }
-                        '\r' if chars.peek() == Some(&'\n') => {
+                        b'\r' if bytes.get(at) == Some(&b'\n') => {
                             // CRLF: swallow the CR; the LF terminates the
                             // record on the next iteration.
                         }
-                        '\n' => {
-                            // End of record (the chunk's final character).
-                        }
-                        _ => {
+                        b'\r' => {
+                            // A bare CR is field data.
                             if after_close {
                                 return Err(TableError::Csv {
                                     line,
                                     message: "unexpected text after closing quote".into(),
                                 });
                             }
-                            record.current().push(ch);
+                            record.current().push('\r');
                             any_content = true;
+                        }
+                        _ => {
+                            // '\n': end of record (the line's final byte).
                         }
                     }
                 }

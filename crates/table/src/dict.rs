@@ -11,14 +11,54 @@ use std::collections::HashMap;
 /// time (relevant only when a trained model is applied to new data).
 pub const PAD_INDEX: usize = 0;
 
+/// Code points below this bound index the flat table of [`CharIndex`].
+const ASCII_LEN: usize = 128;
+
 /// The paper's `char_index`: every distinct character of the dirty values
 /// gets an index starting at 1.
+///
+/// ASCII characters are looked up in a flat 128-entry table whose unset
+/// entries hold [`PAD_INDEX`], so the common lookup is one load with no
+/// presence branch; only non-ASCII characters go through a map. Cloning
+/// a dictionary whose alphabet is pure ASCII therefore never allocates.
 #[derive(Clone, Debug)]
 pub struct CharIndex {
-    map: HashMap<char, usize>,
+    /// Index per ASCII code point; `PAD_INDEX` marks an unseen character.
+    ascii: [usize; ASCII_LEN],
+    /// Index per non-ASCII character.
+    other: HashMap<char, usize>,
+    /// Number of distinct characters (the highest index).
+    n_chars: usize,
 }
 
 impl CharIndex {
+    /// A dictionary of just the pad slot.
+    fn empty() -> Self {
+        Self {
+            ascii: [PAD_INDEX; ASCII_LEN],
+            other: HashMap::new(),
+            n_chars: 0,
+        }
+    }
+
+    /// The slot holding `ch`'s index (`PAD_INDEX` while unassigned).
+    fn slot_mut(&mut self, ch: char) -> &mut usize {
+        match self.ascii.get_mut(ch as usize) {
+            Some(slot) => slot,
+            None => self.other.entry(ch).or_insert(PAD_INDEX),
+        }
+    }
+
+    /// Give `ch` the next index unless it already has one.
+    fn observe_char(&mut self, ch: char) {
+        let next = self.n_chars + 1;
+        let slot = self.slot_mut(ch);
+        if *slot == PAD_INDEX {
+            *slot = next;
+            self.n_chars = next;
+        }
+    }
+
     /// Build from every `value_x` in the frame. Characters are numbered in
     /// first-occurrence order, which makes the dictionary deterministic
     /// for a given frame.
@@ -33,10 +73,15 @@ impl CharIndex {
     /// Export the dictionary as `(char, index)` pairs sorted by index —
     /// the serialization form used by model persistence.
     pub fn entries(&self) -> Vec<(char, usize)> {
+        let mut v: Vec<(char, usize)> = (0..ASCII_LEN as u8)
+            .map(char::from)
+            .map(|ch| (ch, self.ascii[ch as usize]))
+            .filter(|&(_, i)| i != PAD_INDEX)
+            .collect();
         // Lookups stay O(1) on the hot path, and the hash order never
         // survives to the output.
         // etsb: allow(hash-iter-order) -- iterate-then-sort by the unique index.
-        let mut v: Vec<(char, usize)> = self.map.iter().map(|(&c, &i)| (c, i)).collect();
+        v.extend(self.other.iter().map(|(&c, &i)| (c, i)));
         v.sort_by_key(|&(_, i)| i);
         v
     }
@@ -46,42 +91,47 @@ impl CharIndex {
     /// # Panics
     /// If indexes are not exactly `1..=n` (a corrupt serialization).
     pub fn from_entries(entries: Vec<(char, usize)>) -> Self {
-        let mut map = HashMap::with_capacity(entries.len());
+        let mut index = Self::empty();
         for (expected, (ch, idx)) in entries.into_iter().enumerate() {
             assert_eq!(
                 idx,
                 expected + 1,
                 "CharIndex::from_entries: non-contiguous index {idx}"
             );
-            map.insert(ch, idx);
+            let slot = index.slot_mut(ch);
+            let fresh = *slot == PAD_INDEX;
+            *slot = idx;
+            index.n_chars += usize::from(fresh);
         }
-        Self { map }
+        index
     }
 
     /// Build from an explicit alphabet (for tests and synthetic data).
     pub fn from_alphabet(alphabet: impl IntoIterator<Item = char>) -> Self {
-        let mut map = HashMap::new();
+        let mut index = Self::empty();
         for ch in alphabet {
-            let next = map.len() + 1;
-            map.entry(ch).or_insert(next);
+            index.observe_char(ch);
         }
-        Self { map }
+        index
     }
 
     /// Number of distinct characters (excluding the pad slot).
     pub fn n_chars(&self) -> usize {
-        self.map.len()
+        self.n_chars
     }
 
     /// Vocabulary size including the pad/unknown slot at index 0 — the
     /// row count for the embedding table.
     pub fn vocab_size(&self) -> usize {
-        self.map.len() + 1
+        self.n_chars + 1
     }
 
     /// Index of one character (`PAD_INDEX` when unseen).
     pub fn index_of(&self, ch: char) -> usize {
-        self.map.get(&ch).copied().unwrap_or(PAD_INDEX)
+        match self.ascii.get(ch as usize) {
+            Some(&idx) => idx,
+            None => self.other.get(&ch).copied().unwrap_or(PAD_INDEX),
+        }
     }
 
     /// Encode a value to its index sequence at true length. The empty
@@ -129,9 +179,17 @@ impl CharIndex {
 /// over the same character stream. `CharIndex::build` is itself
 /// implemented on this builder, so the equivalence is structural, not
 /// coincidental.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct CharIndexBuilder {
-    map: HashMap<char, usize>,
+    index: CharIndex,
+}
+
+impl Default for CharIndexBuilder {
+    fn default() -> Self {
+        Self {
+            index: CharIndex::empty(),
+        }
+    }
 }
 
 impl CharIndexBuilder {
@@ -143,19 +201,18 @@ impl CharIndexBuilder {
     /// Record every character of one normalized dirty value.
     pub fn observe(&mut self, value: &str) {
         for ch in value.chars() {
-            let next = self.map.len() + 1;
-            self.map.entry(ch).or_insert(next);
+            self.index.observe_char(ch);
         }
     }
 
     /// Number of distinct characters observed so far.
     pub fn n_chars(&self) -> usize {
-        self.map.len()
+        self.index.n_chars
     }
 
     /// Freeze the builder into an immutable dictionary.
     pub fn finish(self) -> CharIndex {
-        CharIndex { map: self.map }
+        self.index
     }
 }
 
@@ -263,6 +320,40 @@ mod tests {
         assert_eq!(builder.n_chars(), batch.n_chars());
         let inc = builder.finish();
         assert_eq!(batch.entries(), inc.entries());
+    }
+
+    #[test]
+    fn mixed_alphabet_straddles_the_ascii_table() {
+        // U+007F is the last table entry and U+0080 the first map entry.
+        let idx = CharIndex::from_alphabet(['b', 'é', '\u{7f}', '東', '\u{80}', 'a', 'é']);
+        let entries = vec![
+            ('b', 1),
+            ('é', 2),
+            ('\u{7f}', 3),
+            ('東', 4),
+            ('\u{80}', 5),
+            ('a', 6),
+        ];
+        assert_eq!(idx.entries(), entries);
+        assert_eq!(idx.n_chars(), 6);
+        assert_eq!(idx.vocab_size(), 7);
+        assert_eq!(idx.index_of('\u{7f}'), 3);
+        assert_eq!(idx.index_of('\u{80}'), 5);
+        // Unseen characters on both sides of the boundary are pads.
+        for unseen in ['\0', 'z', '\u{7e}', '\u{81}', 'ü', '\u{10ffff}'] {
+            assert_eq!(idx.index_of(unseen), PAD_INDEX, "{unseen:?}");
+        }
+        assert_eq!(idx.encode("a\u{80}z東"), vec![6, 5, PAD_INDEX, 4]);
+
+        let back = CharIndex::from_entries(idx.entries());
+        assert_eq!(back.entries(), entries);
+        assert_eq!(back.vocab_size(), idx.vocab_size());
+        assert_eq!(back.encode("a\u{80}z東"), idx.encode("a\u{80}z東"));
+        let mut builder = CharIndexBuilder::new();
+        builder.observe("bé\u{7f}東");
+        builder.observe("\u{80}aé");
+        assert_eq!(builder.n_chars(), 6);
+        assert_eq!(builder.finish().entries(), entries);
     }
 
     #[test]

@@ -183,9 +183,9 @@ impl RowSource for CsvSource {
         let width = self.columns.len();
         let Some(line) = self.dirty.read_record(&mut self.dirty_rec)? else {
             if let Some(reader) = self.clean.as_mut() {
-                if reader.read_record(&mut self.clean_rec)?.is_some() {
+                if let Some(line) = reader.read_record(&mut self.clean_rec)? {
                     return Err(TableError::Csv {
-                        line: 0,
+                        line,
                         message: "clean file has more rows than dirty".into(),
                     });
                 }
@@ -574,31 +574,36 @@ mod tests {
 
     #[test]
     fn row_count_mismatch_is_an_error() {
-        let (d, c) = pair();
+        let (_, c) = pair();
         let dir = std::env::temp_dir().join(format!("etsb_scan_mismatch_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let dirty_path = dir.join("dirty.csv");
-        let clean_path = dir.join("clean.csv");
+        let (long_path, short_path) = (dir.join("long.csv"), dir.join("short.csv"));
         let mut short = Table::new(c.columns().to_vec());
         short.push_row(c.row(0).to_vec());
-        csv::write_file(&d, &dirty_path).unwrap();
-        csv::write_file(&short, &clean_path).unwrap();
+        short.push_row(c.row(1).to_vec());
+        let mut long = short.clone();
+        long.push_row(c.row(2).to_vec());
+        csv::write_file(&long, &long_path).unwrap();
+        csv::write_file(&short, &short_path).unwrap();
 
-        let mut source = CsvSource::open(&dirty_path, Some(clean_path.as_path())).unwrap();
-        let mut dirty = Vec::new();
-        let mut clean = Vec::new();
-        let mut err = None;
-        loop {
-            match source.next_row(&mut dirty, &mut clean) {
-                Ok(true) => {}
-                Ok(false) => break,
-                Err(e) => {
-                    err = Some(e);
-                    break;
-                }
-            }
+        // Line 4 holds the third data row, which the other file lacks.
+        for (dirty, clean, message) in [
+            (
+                &long_path,
+                &short_path,
+                "dirty file has more rows than clean",
+            ),
+            (
+                &short_path,
+                &long_path,
+                "clean file has more rows than dirty",
+            ),
+        ] {
+            let mut source = CsvSource::open(dirty, Some(clean.as_path())).unwrap();
+            let err = scan_stats(&mut source).unwrap_err();
+            let message = message.to_string();
+            assert_eq!(err, TableError::Csv { line: 4, message });
         }
-        assert!(matches!(err, Some(TableError::Csv { .. })));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

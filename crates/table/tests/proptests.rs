@@ -1,8 +1,10 @@
 //! Property-based tests for CSV round-tripping, the merge pipeline and
 //! the dictionaries.
 
+use etsb_table::csv::{CsvReader, RecordBuf};
 use etsb_table::{csv, CellFrame, CharIndex, Table, PAD_INDEX};
 use proptest::prelude::*;
+use std::io::BufReader;
 
 /// Any printable-ish cell content, including the characters CSV must
 /// quote and multi-byte unicode.
@@ -10,8 +12,21 @@ fn cell() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[ -~äöüé日,\"\n]{0,12}").expect("valid regex")
 }
 
+/// Cells dense in the bytes the CSV grammar reacts to (`,`, `"`, CR, LF),
+/// with leading spaces, multi-byte characters and empty fields.
+fn hostile_cell() -> impl Strategy<Value = String> {
+    proptest::string::string_regex("[ ,\"\r\nabé東]{0,10}").expect("valid regex")
+}
+
 fn table(max_rows: usize) -> impl Strategy<Value = Table> {
-    (1usize..5, 1usize..=max_rows).prop_flat_map(|(cols, rows)| {
+    table_of(max_rows, cell)
+}
+
+fn table_of<S: Strategy<Value = String>>(
+    max_rows: usize,
+    cell: fn() -> S,
+) -> impl Strategy<Value = Table> {
+    (1usize..5, 1usize..=max_rows).prop_flat_map(move |(cols, rows)| {
         proptest::collection::vec(proptest::collection::vec(cell(), cols), rows).prop_map(
             move |data| {
                 let names: Vec<String> = (0..cols).map(|c| format!("c{c}")).collect();
@@ -29,10 +44,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn csv_round_trips_arbitrary_cells(t in table(8)) {
-        let text = csv::to_string(&t);
-        let back = csv::parse(&text).unwrap();
-        prop_assert_eq!(t, back);
+    fn csv_round_trips_arbitrary_cells(t in table(8), hostile in table_of(6, hostile_cell)) {
+        for t in [t, hostile] {
+            let text = csv::to_string(&t);
+            prop_assert_eq!(&csv::parse(&text).unwrap(), &t);
+            // Tiny buffers split lines, CRLF pairs and multi-byte
+            // characters across refills of the underlying reader.
+            for capacity in [1usize, 2, 3, 5, 8] {
+                let input = BufReader::with_capacity(capacity, text.as_bytes());
+                let mut reader = CsvReader::new(input);
+                let mut record = RecordBuf::new();
+                let mut records = Vec::new();
+                while reader.read_record(&mut record).unwrap().is_some() {
+                    records.push(record.to_vec());
+                }
+                prop_assert_eq!(&records[0], t.columns());
+                let rows: Vec<&[String]> = t.iter_rows().collect();
+                prop_assert_eq!(records[1..].iter().map(Vec::as_slice).collect::<Vec<_>>(), rows);
+            }
+        }
     }
 
     #[test]

@@ -48,9 +48,13 @@
 #   9. determinism under ETSB_WORKERS=2 -- sharded backward must stay
 #                                         bitwise-identical when the
 #                                         worker count is forced
-#  10. trace + manifest schema          -- tiny hospital pipeline with
-#                                         ETSB_TRACE=jsonl:... and
-#                                         --manifest, gated by trace_lint
+#  10. tiny hospital pipeline           -- detect with ETSB_TRACE=jsonl:...
+#                                         and --manifest, gated by
+#                                         trace_lint; then detect --out
+#                                         in memory and with
+#                                         --chunk-rows 7, and cmp the two
+#                                         flagged-cell files (streaming
+#                                         must write the same bytes)
 #  11. etsb serve smoke                 -- pipe JSONL requests through
 #                                         `etsb serve --stdin` twice
 #                                         (coalesced vs --max-batch 1),
@@ -118,7 +122,7 @@ if [[ "${1:-}" != "fast" ]]; then
     step "determinism with 2 forced workers"
     ETSB_WORKERS=2 cargo test -q -p etsb-core --test determinism
 
-    step "trace + manifest schema (tiny hospital pipeline through trace_lint)"
+    step "tiny hospital pipeline (trace + manifest schema, streamed --out bytes)"
     cargo run -q -p etsb-cli -- generate --dataset hospital --scale 0.03 --seed 7 \
         --dirty "$tmpdir/dirty.csv" --clean "$tmpdir/clean.csv"
     ETSB_TRACE="jsonl:$tmpdir/trace.jsonl" cargo run -q -p etsb-cli -- detect \
@@ -129,6 +133,13 @@ if [[ "${1:-}" != "fast" ]]; then
         --trace "$tmpdir/trace.jsonl" --manifest "$tmpdir/manifest.json"
     cargo run -q -p etsb-obs --bin trace_profile -- \
         --trace "$tmpdir/trace.jsonl" --top 15
+    cargo run -q -p etsb-cli -- detect \
+        --dirty "$tmpdir/dirty.csv" --clean "$tmpdir/clean.csv" \
+        --tuples 5 --epochs 3 --out "$tmpdir/flags_in_memory.csv"
+    cargo run -q -p etsb-cli -- detect \
+        --dirty "$tmpdir/dirty.csv" --clean "$tmpdir/clean.csv" \
+        --tuples 5 --epochs 3 --chunk-rows 7 --out "$tmpdir/flags_streamed.csv"
+    cmp "$tmpdir/flags_in_memory.csv" "$tmpdir/flags_streamed.csv"
 
     step "etsb serve smoke (response schema + coalescing determinism)"
     cat > "$tmpdir/requests.jsonl" <<'EOF'

@@ -3,7 +3,8 @@
 //! The O(chunk) memory story has two layers. The table layer
 //! ([`FrameScan`] + [`ChunkedFrame`] + the row sources) reuses every
 //! buffer, so a warmed scan performs **zero** heap allocations — pinned
-//! exactly here with a counting allocator. The prediction layer above it
+//! exactly here with a counting allocator, and over CSV files by a
+//! rescan whose allocation count must not move with the row count. The prediction layer above it
 //! allocates per chunk (probe keys, the per-chunk probability vector),
 //! so its budget is *linear in chunks processed* and independent of the
 //! table's total size — pinned by comparing a double-length stream
@@ -20,10 +21,11 @@ use std::cell::Cell;
 use etsb_core::config::{ModelKind, TrainConfig};
 use etsb_core::model::AnyModel;
 use etsb_core::{stream_predict, EncodedDataset, KernelPolicy, PredictCache};
-use etsb_table::scan::{scan_stats, ChunkedFrame, FrameScan, RowSource};
-use etsb_table::{AttrIndex, TableError};
+use etsb_table::scan::{scan_stats, ChunkedFrame, CsvSource, FrameScan, RowSource};
+use etsb_table::{csv, AttrIndex, Table, TableError};
 use etsb_tensor::init::seeded_rng;
 use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
 
 /// Counts every allocation (alloc, alloc_zeroed, realloc) while
 /// delegating the actual work to the system allocator.
@@ -165,6 +167,57 @@ fn warmed_chunk_scan_is_allocation_free() {
         0,
         "warmed chunk scan heap-allocated {} time(s)",
         after - before
+    );
+}
+
+/// Write the synthetic source's first `rows` rows as a dirty/clean CSV
+/// pair (fixed-width values, so every line has the same length).
+fn write_csv_pair(dir: &Path, rows: usize) -> (PathBuf, PathBuf) {
+    let mut source = SynthSource::new(rows);
+    let mut dirty = Table::new(source.columns().to_vec());
+    let mut clean = Table::new(source.columns().to_vec());
+    let (mut d, mut c) = (Vec::new(), Vec::new());
+    while source.next_row(&mut d, &mut c).expect("row") {
+        dirty.push_row(d.clone());
+        clean.push_row(c.clone());
+    }
+    // Equal-length names keep the path handling identical at both sizes.
+    let paths = (
+        dir.join(format!("dirty{rows:04}.csv")),
+        dir.join(format!("clean{rows:04}.csv")),
+    );
+    csv::write_file(&dirty, &paths.0).expect("write dirty");
+    csv::write_file(&clean, &paths.1).expect("write clean");
+    paths
+}
+
+#[test]
+fn warmed_csv_scan_allocates_the_same_at_any_row_count() {
+    let dir = std::env::temp_dir().join(format!("etsb_alloc_csv_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    // Allocations of one reset plus one full chunked pass over a warmed
+    // CSV source. Reopening the files costs a fixed number; every
+    // per-row buffer is reused.
+    let pass_allocations = |rows: usize| -> usize {
+        let (dirty, clean) = write_csv_pair(&dir, rows);
+        let mut source = CsvSource::open(&dirty, Some(clean.as_path())).expect("open");
+        let (stats, _) = scan_stats(&mut source).expect("scan stats");
+        let mut scan = FrameScan::new(source, stats.max_len, 8);
+        let mut chunk = ChunkedFrame::new();
+        for _ in 0..2 {
+            while scan.next_chunk(&mut chunk).expect("chunk") {}
+            scan.reset().expect("reset");
+        }
+        let before = allocations();
+        scan.reset().expect("reset");
+        while scan.next_chunk(&mut chunk).expect("chunk") {}
+        allocations() - before
+    };
+    let (base, double) = (pass_allocations(64), pass_allocations(128));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        base, double,
+        "a warmed CSV scan allocated {base} time(s) over 64 rows but {double} over 128"
     );
 }
 
