@@ -12,14 +12,17 @@
 //! exist; everything else is shared code.
 //!
 //! Sequence execution is batch-major: each deterministic fold shard of a
-//! training batch (or prediction set) packs its cells into one
-//! length-bucketed [`etsb_nn::SeqBatch`] per path — the attribute path is
-//! a rectangular batch of length-1 sequences — and the whole shard runs
-//! through the batched RNN kernels at once. Shard boundaries are a pure
-//! function of the item count, so batch composition — and therefore every
-//! float operation — is identical for any worker count, and the batched
+//! training batch packs its cells into one length-bucketed
+//! [`etsb_nn::SeqBatch`] per path — the attribute path is a rectangular
+//! batch of length-1 sequences — and the whole shard runs through the
+//! batched RNN kernels at once. Shard boundaries are a pure function of
+//! the item count, so batch composition — and therefore every float
+//! operation — is identical for any worker count, and the batched
 //! kernels are bitwise identical to the allocating per-sample oracle
-//! (pinned by the tests below).
+//! (pinned by the tests below). Prediction cuts each shard further into
+//! blocks of [`PREDICT_BLOCK`](crate::model::PREDICT_BLOCK) cells that
+//! reuse one set of buffers;
+//! evaluation is row-independent, so block boundaries move no bit.
 
 use crate::config::{CellKind, ModelKind, TrainConfig};
 use crate::encode::EncodedDataset;
@@ -29,6 +32,14 @@ use etsb_nn::{
 };
 use etsb_tensor::{GradBuffer, KernelPolicy, Matrix, Workspace};
 use rand::rngs::StdRng;
+
+/// Cells per block when a prediction shard is scored
+/// ([`AnyModel::predict_probs_direct_with`]). The block bounds the
+/// forward's scratch memory (packed inputs, layer caches, head input) to
+/// a constant per worker; it does not tune speed: on the benchmark's
+/// `stream_hospital` workload (64-unit model, 2-vCPU AVX2 host) the
+/// forward measured the same from 16 cells per block to a whole shard.
+pub const PREDICT_BLOCK: usize = 64;
 
 /// A cache built by one cell kind was handed to another — an internal
 /// invariant violation (caches are created by [`AnyStacked::empty_cache`]
@@ -330,11 +341,11 @@ struct SeqPath {
     rnn: AnyStacked,
 }
 
-/// One path's share of an encoded shard: the packed layout, the layer
-/// cache (packed-row semantics, holding everything backward needs) and
-/// the per-sample feature rows in shard-local original order.
+/// One path's encode buffers: the layer cache (packed-row semantics,
+/// holding everything backward needs) and the per-sample feature rows in
+/// original order. [`SeqPath::encode`] refills both in place, so a shard
+/// scored block after block reuses their allocations.
 struct PathEnc {
-    sb: SeqBatch,
     cache: AnyStackedCache,
     feats: Matrix,
 }
@@ -351,18 +362,28 @@ impl SeqPath {
             .collect()
     }
 
-    /// Encode a non-empty shard of cells batch-major: pack the
-    /// embeddings timestep-major into `packed` and run the stacked
-    /// encoder batched. `packed` and `ws` are scratch shared by the paths
-    /// of a shard.
+    /// Empty encode buffers for this path's cell kind.
+    fn empty_enc(&self) -> PathEnc {
+        PathEnc {
+            cache: self.rnn.empty_cache(),
+            feats: Matrix::default(),
+        }
+    }
+
+    /// Encode a non-empty run of cells batch-major — the one forward of
+    /// training and prediction: pack the embeddings timestep-major into
+    /// `packed` and run the stacked encoder batched, refilling `enc` in
+    /// place. Returns the packed layout, which backward reads with
+    /// `enc`. `packed` and `ws` are scratch shared by the paths.
     fn encode(
         &self,
         data: &EncodedDataset,
         cells: &[usize],
+        enc: &mut PathEnc,
         packed: &mut Matrix,
         ws: &mut Workspace,
         policy: KernelPolicy,
-    ) -> PathEnc {
+    ) -> SeqBatch {
         let seqs = self.seqs(data, cells);
         let lengths: Vec<usize> = seqs.iter().map(|s| s.len()).collect();
         // Clamped: a hand-built dataset may carry zero-length sequences
@@ -370,23 +391,22 @@ impl SeqPath {
         // one pad timestep, exactly as if encoded as "".
         let sb = SeqBatch::from_lengths_clamped(&lengths);
         self.embedding.lookup_batch_into(&sb, &seqs, packed);
-        let mut cache = self.rnn.empty_cache();
-        let mut feats = Matrix::default();
         self.rnn
-            .forward_batch_into(packed, &sb, &mut feats, &mut cache, ws, policy);
-        PathEnc { sb, cache, feats }
+            .forward_batch_into(packed, &sb, &mut enc.feats, &mut enc.cache, ws, policy);
+        sb
     }
 
-    /// Batched backward of the [`SeqPath::encode`] result `enc` for the
-    /// cells whose id sequences are `seqs`, from their feature gradients
-    /// (row `r` belongs to the shard's `r`-th cell): the RNN backward,
-    /// then the embedding backward. Gradients accumulate into `grads`
-    /// ([`SeqPath::params`] order); `grad_packed` and `ws` are scratch
-    /// shared by the paths of a shard.
+    /// Batched backward of an [`SeqPath::encode`] result — the packed
+    /// layout and the refilled buffers — for the cells whose id sequences
+    /// are `seqs`, from their feature gradients (row `r` belongs to the
+    /// shard's `r`-th cell): the RNN backward, then the embedding
+    /// backward. Gradients accumulate into `grads` ([`SeqPath::params`]
+    /// order); `grad_packed` and `ws` are scratch shared by the paths of
+    /// a shard.
     fn backward(
         &self,
         seqs: &[&[usize]],
-        enc: &PathEnc,
+        (sb, enc): &(SeqBatch, PathEnc),
         grad_feats: &Matrix,
         grads: &mut [Matrix],
         grad_packed: &mut Matrix,
@@ -394,9 +414,9 @@ impl SeqPath {
     ) {
         let (emb_slot, rnn_slots) = grads.split_at_mut(1);
         self.rnn
-            .backward_batch_into(&enc.sb, &enc.cache, grad_feats, rnn_slots, grad_packed, ws);
+            .backward_batch_into(sb, &enc.cache, grad_feats, rnn_slots, grad_packed, ws);
         self.embedding
-            .backward_batch(&enc.sb, seqs, grad_packed, &mut emb_slot[0]);
+            .backward_batch(sb, seqs, grad_packed, &mut emb_slot[0]);
     }
 
     /// Parameters: the embedding, then the RNN (layer1 fwd/bwd, layer2
@@ -482,16 +502,13 @@ impl AnyModel {
         self.seq_dim() + self.len_dense.as_ref().map_or(0, Dense::output_dim)
     }
 
-    /// Encode one shard of cells batch-major on every sequence path, in
-    /// path order; empty for an empty trailing shard (the packed layout
-    /// requires at least one sample). One workspace and one packed buffer
-    /// serve all paths of the shard.
-    fn encode_shard(
-        &self,
-        data: &EncodedDataset,
-        cells: &[usize],
-        policy: KernelPolicy,
-    ) -> Vec<PathEnc> {
+    /// Encode one training shard of cells batch-major on every sequence
+    /// path, in path order, keeping each path's layout and buffers for
+    /// the backward pass; empty for an empty trailing shard (the packed
+    /// layout requires at least one sample). One workspace and one
+    /// packed buffer serve all paths of the shard. Training is always
+    /// exact.
+    fn encode_shard(&self, data: &EncodedDataset, cells: &[usize]) -> Vec<(SeqBatch, PathEnc)> {
         if cells.is_empty() {
             return Vec::new();
         }
@@ -499,42 +516,92 @@ impl AnyModel {
         let mut packed = Matrix::default();
         self.paths
             .iter()
-            .map(|path| path.encode(data, cells, &mut packed, &mut ws, policy))
+            .map(|path| {
+                let mut enc = path.empty_enc();
+                let sb = path.encode(
+                    data,
+                    cells,
+                    &mut enc,
+                    &mut packed,
+                    &mut ws,
+                    KernelPolicy::Exact,
+                );
+                (sb, enc)
+            })
             .collect()
     }
 
-    /// The length path over `cells` (ETSB only): one batched dense pass
-    /// on the `n x 1` matrix of their `length_norm` values.
-    fn len_forward(&self, data: &EncodedDataset, cells: &[usize]) -> Option<(Matrix, DenseCache)> {
-        self.len_dense.as_ref().map(|dense| {
-            dense.forward(Matrix::from_fn(cells.len(), 1, |r, _| {
-                data.length_norms[cells[r]]
-            }))
-        })
+    /// The `n x 1` matrix of the `length_norm` values of `cells`, the
+    /// length dense's input.
+    fn len_inputs(data: &EncodedDataset, cells: &[usize]) -> Matrix {
+        Matrix::from_fn(cells.len(), 1, |r, _| data.length_norms[cells[r]])
     }
 
-    /// The head's `n x feature_dim` input: per cell, each path's feature
-    /// row in path order, then its length features. Row `r` belongs to
-    /// the `r`-th cell of the concatenated shards.
-    fn features(&self, n: usize, encs: &[Vec<PathEnc>], len_feats: Option<&Matrix>) -> Matrix {
-        let mut features = Matrix::zeros(n, self.feature_dim());
-        let mut row = 0usize;
-        for enc in encs {
-            for r in 0..enc.first().map_or(0, |p| p.feats.rows()) {
-                let out = features.row_mut(row);
-                let mut col = 0usize;
-                for path in enc {
-                    let f = path.feats.row(r);
-                    out[col..col + f.len()].copy_from_slice(f);
-                    col += f.len();
-                }
-                if let Some(len) = len_feats {
-                    out[col..].copy_from_slice(len.row(row));
-                }
-                row += 1;
+    /// Write one encoded shard or block into rows `start..` of the head
+    /// input `out` (`feature_dim` wide): each path's feature rows in path
+    /// order, then the length features, read from `len_feats` rows
+    /// `start..` (indexed like `out`). Returns the number of rows
+    /// written.
+    fn put_features<'m>(
+        &self,
+        out: &mut Matrix,
+        start: usize,
+        path_feats: impl IntoIterator<Item = &'m Matrix>,
+        len_feats: Option<&Matrix>,
+    ) -> usize {
+        let (mut col, mut rows) = (0usize, 0usize);
+        for feats in path_feats {
+            rows = feats.rows();
+            for r in 0..rows {
+                out.row_mut(start + r)[col..col + feats.cols()].copy_from_slice(feats.row(r));
+            }
+            col += feats.cols();
+        }
+        if let Some(len) = len_feats {
+            for r in start..start + rows {
+                out.row_mut(r)[col..].copy_from_slice(len.row(r));
             }
         }
-        features
+        rows
+    }
+
+    /// Score one fold shard of a prediction set, [`PREDICT_BLOCK`] cells
+    /// at a time: each block runs through every sequence path, the
+    /// length dense (ETSB), the evaluation head and the softmax, and
+    /// leaves only its class-1 probabilities. One workspace, one packed
+    /// buffer, one [`PathEnc`] per path and the head-input buffers serve
+    /// every block, so the shard's scratch memory is bounded by a block,
+    /// not by the shard.
+    fn score_shard(
+        &self,
+        data: &EncodedDataset,
+        cells: &[usize],
+        policy: KernelPolicy,
+    ) -> Vec<f32> {
+        let mut probs = Vec::with_capacity(cells.len());
+        let mut ws = Workspace::new();
+        let mut packed = Matrix::default();
+        let mut encs: Vec<PathEnc> = self.paths.iter().map(SeqPath::empty_enc).collect();
+        let (mut len_feats, mut features) = (Matrix::default(), Matrix::default());
+        for block in cells.chunks(PREDICT_BLOCK) {
+            for (path, enc) in self.paths.iter().zip(&mut encs) {
+                path.encode(data, block, enc, &mut packed, &mut ws, policy);
+            }
+            let len = self.len_dense.as_ref().map(|dense| {
+                dense.forward_eval_into(&Self::len_inputs(data, block), &mut len_feats);
+                &len_feats
+            });
+            features.resize_zeroed(block.len(), self.feature_dim());
+            self.put_features(&mut features, 0, encs.iter().map(|e| &e.feats), len);
+            let logits = self.head.forward_eval(&features);
+            probs.extend((0..block.len()).map(|r| {
+                let mut row = [0.0f32; 2];
+                row.copy_from_slice(logits.row(r));
+                etsb_tensor::softmax_inplace(&mut row);
+                row[1]
+            }));
+        }
+        probs
     }
 
     /// One training step over a batch of cell indices: forward, loss,
@@ -563,18 +630,29 @@ impl AnyModel {
         );
         let n = batch.len();
         let forward_span = etsb_obs::obs_span!("forward", "samples" => n);
-        let len = self.len_forward(data, batch);
-        let encs = parallel::parallel_map_shards(n, |_, range| {
-            self.encode_shard(data, &batch[range], KernelPolicy::Exact)
-        });
-        let features = self.features(n, &encs, len.as_ref().map(|(f, _)| f));
+        let len = self
+            .len_dense
+            .as_ref()
+            .map(|dense| dense.forward(Self::len_inputs(data, batch)));
+        let encs =
+            parallel::parallel_map_shards(n, |_, range| self.encode_shard(data, &batch[range]));
+        let mut features = Matrix::zeros(n, self.feature_dim());
+        let mut row = 0usize;
+        for shard in &encs {
+            row += self.put_features(
+                &mut features,
+                row,
+                shard.iter().map(|(_, enc)| &enc.feats),
+                len.as_ref().map(|(f, _)| f),
+            );
+        }
         if etsb_obs::enabled() {
             // Occupancy of the character path (path 0).
             let (rows, steps) = encs
                 .iter()
                 .filter_map(|e| e.first())
-                .fold((0usize, 0usize), |(rows, steps), p| {
-                    (rows + p.sb.total_rows(), steps + p.sb.t_max())
+                .fold((0usize, 0usize), |(rows, steps), (sb, _)| {
+                    (rows + sb.total_rows(), steps + sb.t_max())
                 });
             if steps > 0 {
                 etsb_obs::gauge("batch_occupancy", rows as f64 / steps as f64);
@@ -617,7 +695,8 @@ impl AnyModel {
                 let mut ws = Workspace::new();
                 let mut grad_packed = Matrix::default();
                 let (mut col, mut slot) = (0usize, 0usize);
-                for ((path, enc), &n_slots) in self.paths.iter().zip(&encs[s]).zip(&path_slots) {
+                for ((path, encoded), &n_slots) in self.paths.iter().zip(&encs[s]).zip(&path_slots)
+                {
                     let dim = path.rnn.output_dim();
                     let mut gf = Matrix::zeros(range.len(), dim);
                     for (r, orig) in range.clone().enumerate() {
@@ -626,7 +705,7 @@ impl AnyModel {
                     }
                     path.backward(
                         &path.seqs(data, cells),
-                        enc,
+                        encoded,
                         &gf,
                         &mut acc.slots_mut()[slot..slot + n_slots],
                         &mut grad_packed,
@@ -802,35 +881,29 @@ impl AnyModel {
     /// deduplicated representatives; tests compare the two for bitwise
     /// equality.
     ///
-    /// Batch-major like training: each fold shard of the requested cells
-    /// packs into one batch per sequence path, so inference shares the
-    /// training hot path. `Exact` keeps the bitwise contract, `FastMath`
-    /// runs the batched sequence encoders on the fused inference kernels.
+    /// Batch-major on the training forward (`SeqPath::encode`): each
+    /// fold shard of the requested cells is scored in blocks of
+    /// [`PREDICT_BLOCK`] cells, one packed batch per sequence path per
+    /// block, and each block runs through the length dense, the
+    /// evaluation head and the softmax before the next one reuses the
+    /// shard's buffers. Only the probabilities outlive a block, so the
+    /// scratch memory is O(workers × block), not O(cells). Every
+    /// evaluation stage is row-independent (a cell's result does not
+    /// depend on its batch-mates), so the block size moves no bit.
+    /// `Exact` keeps the bitwise contract, `FastMath` runs the batched
+    /// sequence encoders on the fused inference kernels.
     pub fn predict_probs_direct_with(
         &self,
         data: &EncodedDataset,
         cells: &[usize],
         policy: KernelPolicy,
     ) -> Vec<f32> {
-        if cells.is_empty() {
-            // Zero cells means zero forward passes: never reach the
-            // batch-packing, length-dense or head kernels empty.
-            return Vec::new();
-        }
-        let n = cells.len();
-        let encs = parallel::parallel_map_shards(n, |_, range| {
-            self.encode_shard(data, &cells[range], policy)
-        });
-        let len = self.len_forward(data, cells);
-        let features = self.features(n, &encs, len.as_ref().map(|(f, _)| f));
-        let logits = self.head.forward_eval(&features);
-        (0..n)
-            .map(|r| {
-                let mut row = logits.row(r).to_vec();
-                etsb_tensor::softmax_inplace(&mut row);
-                row[1]
-            })
-            .collect()
+        // Zero cells means zero shards: the batch-packing, length-dense
+        // and head kernels are never reached empty.
+        parallel::parallel_map_shards(cells.len(), |_, range| {
+            self.score_shard(data, &cells[range], policy)
+        })
+        .concat()
     }
 
     /// Hard predictions at threshold 0.5.
@@ -1275,7 +1348,10 @@ mod tests {
         grads: &mut GradBuffer,
     ) -> f32 {
         let n = batch.len();
-        let len = model.len_forward(data, batch);
+        let len = model
+            .len_dense
+            .as_ref()
+            .map(|dense| dense.forward(AnyModel::len_inputs(data, batch)));
         let mut features = Matrix::zeros(n, model.feature_dim());
         let mut caches = Vec::with_capacity(n);
         for (row, &cell) in batch.iter().enumerate() {

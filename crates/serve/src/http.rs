@@ -16,14 +16,11 @@
 //!   (overloaded, shutting_down) and `504` (timeout).
 
 use crate::engine::DetectService;
-use crate::protocol::{parse_request, Response, Status};
+use crate::protocol::{parse_request, Response, Status, MAX_REQUEST_BYTES};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
-
-/// Largest accepted `POST /detect` body.
-const MAX_BODY_BYTES: usize = 16 << 20;
 
 /// Accept loop: serve connections until `stop` becomes true, polling the
 /// (non-blocking) listener every few milliseconds so shutdown does not
@@ -165,7 +162,7 @@ fn handle_connection(service: &DetectService, stream: TcpStream) -> std::io::Res
             &service.prometheus_text(),
         ),
         ("POST", "/detect") => {
-            if content_length > MAX_BODY_BYTES {
+            if content_length > MAX_REQUEST_BYTES {
                 return write_response(
                     &mut stream,
                     413,

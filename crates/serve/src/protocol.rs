@@ -24,6 +24,12 @@
 
 use etsb_obs::json::{self, Value};
 
+/// Largest request either front end accepts, in bytes: an HTTP `POST
+/// /detect` body or one stdio line (without its newline). Both front ends
+/// refuse a longer request before buffering more than this, so no input
+/// chooses how much they allocate.
+pub const MAX_REQUEST_BYTES: usize = 16 << 20;
+
 /// One cell submitted for detection.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RequestCell {

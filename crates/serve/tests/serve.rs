@@ -351,6 +351,83 @@ this is not json\n\
     assert_eq!(status_of(lines[4]), "ok");
 }
 
+/// The stdio front end's responses to `input`, one string per line.
+fn stdio_responses(input: impl std::io::BufRead) -> Vec<String> {
+    let mut service = DetectService::start(detector(CellKind::Vanilla), ServeConfig::default());
+    let mut out: Vec<u8> = Vec::new();
+    etsb_serve::stdio::run(&service, input, &mut out).expect("stdio session");
+    service.shutdown();
+    let text = String::from_utf8(out).unwrap();
+    for line in text.lines() {
+        validate_response_line(line).unwrap();
+    }
+    text.lines().map(str::to_string).collect()
+}
+
+/// A string field of a response line.
+fn response_field(line: &str, key: &str) -> String {
+    etsb_obs::json::parse(line)
+        .unwrap()
+        .get(key)
+        .and_then(|v| v.as_str().map(str::to_string))
+        .unwrap_or_else(|| panic!("no string {key} in {line}"))
+}
+
+/// A line that is not UTF-8 is answered `bad_request` with an empty id,
+/// and the session goes on to answer the requests after it.
+#[test]
+fn stdio_answers_a_non_utf8_line_and_carries_on() {
+    let input: &[u8] = b"\
+{\"id\":\"r0\",\"cells\":[{\"attribute\":\"name\",\"value\":\"alice\"}]}\n\
+{\"id\":\"r1\",\"cells\":[{\"attribute\":\"name\",\"value\":\"\xff\xfe\"}]}\n\
+{\"id\":\"r2\",\"cells\":[{\"attribute\":\"city\",\"value\":\"berlin\"}]}\n";
+    let lines = stdio_responses(input);
+    assert_eq!(lines.len(), 3, "one response per request line: {lines:?}");
+    assert_eq!(response_field(&lines[0], "status"), "ok");
+    assert_eq!(response_field(&lines[1], "status"), "bad_request");
+    assert_eq!(response_field(&lines[1], "id"), "");
+    assert!(
+        response_field(&lines[1], "error").contains("UTF-8"),
+        "{}",
+        lines[1]
+    );
+    assert_eq!(response_field(&lines[2], "status"), "ok");
+    assert_eq!(response_field(&lines[2], "id"), "r2");
+}
+
+/// A line longer than the request limit is refused without being
+/// buffered, even when it would parse: here a valid request padded with
+/// JSON whitespace past the limit. The session then answers the next
+/// request. The padding is generated as it is read, so the test holds
+/// no copy of it either.
+#[test]
+fn stdio_refuses_an_over_long_line_and_carries_on() {
+    use etsb_serve::protocol::MAX_REQUEST_BYTES;
+    use std::io::Read;
+    let head: &[u8] = b"\
+{\"id\":\"r0\",\"cells\":[{\"attribute\":\"name\",\"value\":\"alice\"}]}\n\
+{\"id\":\"big\",\"cells\":[]}";
+    let padding = std::io::repeat(b' ').take(MAX_REQUEST_BYTES as u64);
+    let tail: &[u8] =
+        b"\n{\"id\":\"r2\",\"cells\":[{\"attribute\":\"city\",\"value\":\"berlin\"}]}\n";
+    let lines = stdio_responses(std::io::BufReader::new(head.chain(padding).chain(tail)));
+    assert_eq!(lines.len(), 3, "one response per request line: {lines:?}");
+    assert_eq!(response_field(&lines[0], "status"), "ok");
+    assert_eq!(response_field(&lines[1], "status"), "bad_request");
+    assert_eq!(
+        response_field(&lines[1], "id"),
+        "",
+        "the request was not parsed"
+    );
+    assert!(
+        response_field(&lines[1], "error").contains(&MAX_REQUEST_BYTES.to_string()),
+        "{}",
+        lines[1]
+    );
+    assert_eq!(response_field(&lines[2], "status"), "ok");
+    assert_eq!(response_field(&lines[2], "id"), "r2");
+}
+
 #[test]
 fn http_front_end_round_trips() {
     use std::io::{Read, Write};

@@ -456,20 +456,41 @@ mod tests {
     fn portable_and_native_backends_are_bitwise_identical() {
         let native = detected_backend();
         let mut rng = seeded_rng(43);
-        // Odd sizes exercise the j-tail and k-remainder lanes.
-        for (rows, inner, cols) in [(7, 86, 64), (4, 33, 37), (1, 8, 8), (5, 3, 70)] {
-            let a = random_matrix(&mut rng, rows, inner);
+        // Odd column counts exercise the 8-column and scalar column
+        // tails (29 = 16 + 8 + 5); the model's shapes — inner 39
+        // (Hospital's character embedding), 64, 68 and 128 (a layer-2
+        // input) × 64 hidden units — the full 16- and 32-column tiles.
+        let shapes = [
+            (86, 64),
+            (33, 37),
+            (8, 8),
+            (3, 70),
+            (21, 29),
+            (39, 64),
+            (64, 64),
+            (68, 64),
+            (128, 64),
+        ];
+        for (inner, cols) in shapes {
             let b = random_matrix(&mut rng, inner, cols);
-            let mut p = Matrix::default();
-            let mut n = Matrix::default();
-            matmul_window_fast_with(Backend::Portable, &a, 0, rows, &b, &mut p);
-            matmul_window_fast_with(native, &a, 0, rows, &b, &mut n);
-            assert_eq!(
-                p.as_slice(),
-                n.as_slice(),
-                "portable vs {} diverged on {rows}x{inner}x{cols}",
-                native.name()
-            );
+            // Every row count up to twice the AVX2 row block (6) plus
+            // one covers each row tail, for windows starting at row 0
+            // and inside the matrix.
+            for rows in 1..=13 {
+                for row_start in [0, 5] {
+                    let a = random_matrix(&mut rng, row_start + rows + 2, inner);
+                    let mut p = Matrix::default();
+                    let mut n = Matrix::default();
+                    matmul_window_fast_with(Backend::Portable, &a, row_start, rows, &b, &mut p);
+                    matmul_window_fast_with(native, &a, row_start, rows, &b, &mut n);
+                    assert_eq!(
+                        p.as_slice(),
+                        n.as_slice(),
+                        "portable vs {} diverged on rows {row_start}+{rows} of {inner}x{cols}",
+                        native.name()
+                    );
+                }
+            }
         }
     }
 

@@ -8,9 +8,12 @@
 //! *FastMath.* Every output element is the same chain of IEEE-754 fused
 //! multiply-adds the portable kernels compute: `_mm256_fmadd_ps`
 //! performs one fused multiply-add per lane, exactly like scalar
-//! [`f32::mul_add`]. Column blocking (32/8/scalar in `matmul_window`)
-//! regroups *independent* per-column chains and therefore cannot change
-//! a bit.
+//! [`f32::mul_add`]. `matmul_window` tiles the output into register
+//! blocks — six rows × 16 columns, single rows × 32 columns on the row
+//! tail, then 8-column and scalar column tails. Row blocking, like
+//! column blocking, only regroups *independent* per-element chains (an
+//! output row reads one row of `a`; an output column one column of `b`),
+//! so no tiling can change a bit.
 //!
 //! *Exact.* The exact matmul kernels are not reimplemented here: each
 //! `exact_*` shim calls the one `#[inline(always)]` body in `matrix.rs`,
@@ -42,11 +45,19 @@ use std::arch::x86_64::{
     _CMP_UNORD_Q,
 };
 
+/// Rows per register block of [`matmul_window`]: six rows × two
+/// 8-lane column vectors keep twelve independent accumulator chains in
+/// flight, enough to hide the fused multiply-add latency, and with the
+/// two `b` loads and one broadcast they fill 15 of the 16 `ymm`
+/// registers.
+const ROW_BLOCK: usize = 6;
+
 /// FastMath window product into a pre-zeroed `out` (see
-/// `portable::matmul_window` for the chain definition). Columns are
-/// processed in blocks of 32 (four independent accumulator registers),
-/// then 8, then a scalar [`f32::mul_add`] tail — all computing the same
-/// ascending-k chain per column.
+/// `portable::matmul_window` for the chain definition). Full blocks of
+/// [`ROW_BLOCK`] rows are tiled six rows × 16 columns; the tail rows run
+/// one at a time, 32 columns per tile. Each tile computes, for every
+/// element it covers, the same ascending-k fused multiply-add chain from
+/// zero as the portable kernel.
 ///
 /// # Safety
 ///
@@ -64,56 +75,121 @@ pub(super) unsafe fn matmul_window(
     b: &Matrix,
     out: &mut Matrix,
 ) {
-    let cols = b.cols();
-    let bp = b.as_slice().as_ptr();
-    for r in 0..count {
-        let a_row = a.row(row_start + r);
-        let out_row = out.row_mut(r);
-        let op = out_row.as_mut_ptr();
-        let mut j = 0usize;
-        while j + 32 <= cols {
-            let mut acc0 = _mm256_setzero_ps();
-            let mut acc1 = _mm256_setzero_ps();
-            let mut acc2 = _mm256_setzero_ps();
-            let mut acc3 = _mm256_setzero_ps();
-            for (k, &av) in a_row.iter().enumerate() {
-                let va = _mm256_set1_ps(av);
-                // SAFETY: k < b.rows() and j+32 <= cols, so every load
-                // reads inside row k of `b`'s backing slice.
-                let base = bp.add(k * cols + j);
-                acc0 = _mm256_fmadd_ps(va, _mm256_loadu_ps(base), acc0);
-                acc1 = _mm256_fmadd_ps(va, _mm256_loadu_ps(base.add(8)), acc1);
-                acc2 = _mm256_fmadd_ps(va, _mm256_loadu_ps(base.add(16)), acc2);
-                acc3 = _mm256_fmadd_ps(va, _mm256_loadu_ps(base.add(24)), acc3);
-            }
-            // SAFETY: j+32 <= cols == out_row.len(), so the four stores
-            // stay inside this output row.
-            _mm256_storeu_ps(op.add(j), acc0);
-            _mm256_storeu_ps(op.add(j + 8), acc1);
-            _mm256_storeu_ps(op.add(j + 16), acc2);
-            _mm256_storeu_ps(op.add(j + 24), acc3);
-            j += 32;
-        }
-        while j + 8 <= cols {
-            let mut acc = _mm256_setzero_ps();
-            for (k, &av) in a_row.iter().enumerate() {
-                // SAFETY: k < b.rows() and j+8 <= cols keep the load in
-                // row k of `b`.
-                let bv = _mm256_loadu_ps(bp.add(k * cols + j));
-                acc = _mm256_fmadd_ps(_mm256_set1_ps(av), bv, acc);
-            }
-            // SAFETY: j+8 <= cols == out_row.len().
-            _mm256_storeu_ps(op.add(j), acc);
-            j += 8;
-        }
-        for (jj, o) in out_row.iter_mut().enumerate().skip(j) {
+    let m = Operands {
+        a: a.as_slice().as_ptr(),
+        inner: a.cols(),
+        b: b.as_slice().as_ptr(),
+        cols: b.cols(),
+        out: out.as_mut_slice().as_mut_ptr(),
+    };
+    let mut r = 0usize;
+    while r + ROW_BLOCK <= count {
+        // SAFETY: rows `r .. r+ROW_BLOCK` are inside the window, so
+        // `row_start + r + ROW_BLOCK <= a.rows()` and `r + ROW_BLOCK <=
+        // count == out.rows()`.
+        row_panel::<ROW_BLOCK, 2>(&m, row_start + r, r);
+        r += ROW_BLOCK;
+    }
+    while r < count {
+        // SAFETY: as above, for the single row `r < count`.
+        row_panel::<1, 4>(&m, row_start + r, r);
+        r += 1;
+    }
+}
+
+/// Raw views of a validated window product: `a` is row-major with
+/// `inner` columns, `b` is `inner x cols`, and `out` has `cols` columns.
+struct Operands {
+    a: *const f32,
+    inner: usize,
+    b: *const f32,
+    cols: usize,
+    out: *mut f32,
+}
+
+/// `R` output rows starting at `out_row`, read from `a` rows
+/// `a_row ..`: `8·V`-column tiles, then 8-column tiles, then one scalar
+/// [`f32::mul_add`] chain per remaining element.
+///
+/// # Safety
+///
+/// The CPU must support `avx2` and `fma`; `a` must hold rows
+/// `a_row .. a_row+R` and `out` rows `out_row .. out_row+R` (see
+/// [`Operands`]).
+// SAFETY: callers uphold the `# Safety` contract above — only
+// `matmul_window` calls this, with rows inside its validated window.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn row_panel<const R: usize, const V: usize>(m: &Operands, a_row: usize, out_row: usize) {
+    let (inner, cols) = (m.inner, m.cols);
+    // SAFETY: the caller guarantees these rows exist in `a` and `out`.
+    let (a, out) = (m.a.add(a_row * inner), m.out.add(out_row * cols));
+    let mut j = 0usize;
+    while j + 8 * V <= cols {
+        // SAFETY: columns `j .. j+8V` are inside `b` and `out`.
+        tile::<R, V>(m, a, m.b.add(j), out.add(j));
+        j += 8 * V;
+    }
+    while j + 8 <= cols {
+        // SAFETY: columns `j .. j+8` are inside `b` and `out`.
+        tile::<R, 1>(m, a, m.b.add(j), out.add(j));
+        j += 8;
+    }
+    for i in 0..R {
+        for jj in j..cols {
             let mut acc = 0.0f32;
-            for (k, &av) in a_row.iter().enumerate() {
-                // SAFETY: k < b.rows() and jj < cols index one element
-                // of row k.
-                acc = av.mul_add(*bp.add(k * cols + jj), acc);
+            for k in 0..inner {
+                // SAFETY: i < R, k < inner and jj < cols index one
+                // element of the panel's `a` rows and of row k of `b`.
+                acc = (*a.add(i * inner + k)).mul_add(*m.b.add(k * cols + jj), acc);
             }
-            *o = acc;
+            // SAFETY: i < R and jj < cols stay inside the panel's rows.
+            *out.add(i * cols + jj) = acc;
+        }
+    }
+}
+
+/// One register tile: `R` rows × `8·V` columns, accumulated over all of
+/// `k` in registers and stored once. Lane `(i, v, l)` runs the
+/// ascending-k chain `acc = fma(a[i][k], b[k][8v+l], acc)` from zero.
+///
+/// # Safety
+///
+/// The CPU must support `avx2` and `fma`; `a` points at `R` rows of
+/// `m.inner` floats (stride `m.inner`), `b` at column `j` of `b`'s row 0
+/// and `out` at column `j` of the tile's first output row, with
+/// `j + 8·V <= m.cols`.
+// SAFETY: callers uphold the `# Safety` contract above — only
+// `row_panel` calls this, with whole tiles inside its rows and columns.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn tile<const R: usize, const V: usize>(
+    m: &Operands,
+    a: *const f32,
+    b: *const f32,
+    out: *mut f32,
+) {
+    let mut acc = [[_mm256_setzero_ps(); V]; R];
+    for k in 0..m.inner {
+        let mut bk = [_mm256_setzero_ps(); V];
+        for (v, lane) in bk.iter_mut().enumerate() {
+            // SAFETY: k < inner and 8v+8 <= 8V keep the load inside row
+            // k of `b`, within the tile's columns.
+            *lane = _mm256_loadu_ps(b.add(k * m.cols + 8 * v));
+        }
+        for (i, row) in acc.iter_mut().enumerate() {
+            // SAFETY: i < R and k < inner index one element of `a`.
+            let va = _mm256_set1_ps(*a.add(i * m.inner + k));
+            for (acc_v, &b_v) in row.iter_mut().zip(&bk) {
+                *acc_v = _mm256_fmadd_ps(va, b_v, *acc_v);
+            }
+        }
+    }
+    for (i, row) in acc.iter().enumerate() {
+        for (v, &acc_v) in row.iter().enumerate() {
+            // SAFETY: i < R rows and columns 8v..8v+8 of the tile stay
+            // inside `out`.
+            _mm256_storeu_ps(out.add(i * m.cols + 8 * v), acc_v);
         }
     }
 }

@@ -306,20 +306,23 @@ fn training_is_bitwise_identical_with_tracing_on() {
 
 /// The memoized prediction path (one forward pass per *unique* cell,
 /// broadcast to duplicates) must be invisible in the output: bitwise
-/// identical to the naive path, at any worker count. Hospital repeats
-/// values heavily, so this exercises real duplicate groups, including
-/// corrupted cells.
+/// identical to the naive path, at any worker count, under both kernel
+/// policies. Hospital repeats values heavily, so this exercises real
+/// duplicate groups, including corrupted cells. The table is large
+/// enough that every fold shard spans several prediction blocks, and a
+/// sample of cells scored alone must match the batched result too: a
+/// cell's bits depend neither on its block nor on its batch-mates.
 #[test]
 fn memoized_predict_is_bitwise_identical_to_direct() {
     use etsb_core::encode::EncodedDataset;
-    use etsb_core::model::{memo_key, AnyModel};
+    use etsb_core::model::{memo_key, AnyModel, PREDICT_BLOCK};
     use etsb_nn::parallel::set_worker_override;
     use etsb_tensor::init::seeded_rng;
     use std::collections::HashSet;
 
     let pair = Dataset::Hospital
         .generate(&GenConfig {
-            scale: 0.05,
+            scale: 0.15,
             seed: 18,
         })
         .expect("dataset generation");
@@ -327,6 +330,13 @@ fn memoized_predict_is_bitwise_identical_to_direct() {
     let data = EncodedDataset::from_frame(&frame);
     let cfg = tiny_cfg().train;
     let cells: Vec<usize> = (0..data.n_cells()).collect();
+    // 16 fold shards of more than two blocks each: block boundaries fall
+    // inside every shard.
+    assert!(
+        cells.len() > 16 * 2 * PREDICT_BLOCK,
+        "{} cells do not split every shard into blocks",
+        cells.len()
+    );
 
     // The sample must actually contain duplicates (and corrupted cells)
     // for this test to mean anything.
@@ -340,17 +350,50 @@ fn memoized_predict_is_bitwise_identical_to_direct() {
     assert!(data.labels.iter().any(|&l| l), "no corrupted cells in play");
 
     for kind in [ModelKind::Tsb, ModelKind::Etsb] {
-        let model = AnyModel::new(kind, &data, &cfg, &mut seeded_rng(37));
-        set_worker_override(1);
-        let direct_1 = model.predict_probs_direct_with(&data, &cells, KernelPolicy::Exact);
-        let memo_1 = model.predict_probs_with(&data, &cells, KernelPolicy::Exact);
-        set_worker_override(4);
-        let direct_4 = model.predict_probs_direct_with(&data, &cells, KernelPolicy::Exact);
-        let memo_4 = model.predict_probs_with(&data, &cells, KernelPolicy::Exact);
-        set_worker_override(0);
-        assert_eq!(memo_1, direct_1, "{kind:?}: memoization changed bits");
-        assert_eq!(direct_1, direct_4, "{kind:?}: workers changed direct bits");
-        assert_eq!(memo_1, memo_4, "{kind:?}: workers changed memoized bits");
+        let model = AnyModel::new(kind, &data, &cfg, &mut seeded_rng(31));
+        if kind == ModelKind::Etsb {
+            // The length input must reach the head, or the ETSB arm
+            // could not see a block mix up length rows (a ReLU length
+            // dense whose weights all start negative zeroes it).
+            let mut shifted = data.clone();
+            for norm in &mut shifted.length_norms {
+                *norm = 0.5;
+            }
+            assert_ne!(
+                model.predict_probs_direct_with(&data, &cells, KernelPolicy::Exact),
+                model.predict_probs_direct_with(&shifted, &cells, KernelPolicy::Exact),
+                "the length input does not reach the head"
+            );
+        }
+        for policy in [KernelPolicy::Exact, KernelPolicy::FastMath] {
+            set_worker_override(1);
+            let direct_1 = model.predict_probs_direct_with(&data, &cells, policy);
+            let memo_1 = model.predict_probs_with(&data, &cells, policy);
+            set_worker_override(4);
+            let direct_4 = model.predict_probs_direct_with(&data, &cells, policy);
+            let memo_4 = model.predict_probs_with(&data, &cells, policy);
+            set_worker_override(0);
+            assert_eq!(
+                memo_1, direct_1,
+                "{kind:?}/{policy:?}: memoization changed bits"
+            );
+            assert_eq!(
+                direct_1, direct_4,
+                "{kind:?}/{policy:?}: workers changed direct bits"
+            );
+            assert_eq!(
+                memo_1, memo_4,
+                "{kind:?}/{policy:?}: workers changed memoized bits"
+            );
+            for &cell in cells.iter().step_by(29) {
+                let alone = model.predict_probs_direct_with(&data, &[cell], policy);
+                assert_eq!(
+                    alone[0].to_bits(),
+                    direct_1[cell].to_bits(),
+                    "{kind:?}/{policy:?}: cell {cell} scored alone differs from its block"
+                );
+            }
+        }
     }
 }
 

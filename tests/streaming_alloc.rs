@@ -1,6 +1,6 @@
 //! Allocation bounds for the streaming scan path.
 //!
-//! The O(chunk) memory story has two layers. The table layer
+//! The O(chunk) memory story has three layers. The table layer
 //! ([`FrameScan`] + [`ChunkedFrame`] + the row sources) reuses every
 //! buffer, so a warmed scan performs **zero** heap allocations — pinned
 //! exactly here with a counting allocator, and over CSV files by a
@@ -9,7 +9,11 @@
 //! so its budget is *linear in chunks processed* and independent of the
 //! table's total size — pinned by comparing a double-length stream
 //! against a single-length one, which must also report the same peak
-//! resident chunk and encoded bytes under both kernel policies.
+//! resident chunk and encoded bytes under both kernel policies. The
+//! forward pass inside it scores each shard in fixed blocks, so its
+//! peak live bytes grow with the cells scored only by the probabilities
+//! it returns — pinned by tracking the live-byte peak of the measuring
+//! thread.
 //
 // A test-only global allocator shim is a sanctioned unsafe site; the
 // deny-by-default lint stays on everywhere else.
@@ -27,8 +31,9 @@ use etsb_tensor::init::seeded_rng;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-/// Counts every allocation (alloc, alloc_zeroed, realloc) while
-/// delegating the actual work to the system allocator.
+/// Counts every allocation (alloc, alloc_zeroed, realloc) and tracks
+/// live bytes and their peak while delegating the actual work to the
+/// system allocator.
 struct CountingAlloc;
 
 thread_local! {
@@ -40,19 +45,40 @@ thread_local! {
     /// single-threaded: no measured window spawns workers.
     /// Const-initialised and drop-free, so reading it never allocates.
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed by the current thread. Signed:
+    /// a thread may free memory another thread allocated.
+    static LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
+    /// Highest [`LIVE_BYTES`] since the last [`reset_peak`].
+    static PEAK_BYTES: Cell<isize> = const { Cell::new(0) };
 }
 
 fn count_allocation() {
     ALLOCATIONS.with(|n| n.set(n.get() + 1));
 }
 
+/// Move the current thread's live bytes by `delta`, raising the peak.
+fn track_live(delta: isize) {
+    let live = LIVE_BYTES.with(|b| {
+        b.set(b.get() + delta);
+        b.get()
+    });
+    PEAK_BYTES.with(|p| p.set(p.get().max(live)));
+}
+
+/// A layout's size as a signed byte delta (allocation sizes never
+/// exceed `isize::MAX`).
+fn bytes(size: usize) -> isize {
+    isize::try_from(size).unwrap_or(isize::MAX)
+}
+
 // SAFETY: every method delegates verbatim to the System allocator after
-// bumping a thread-local counter; the GlobalAlloc contract (layout validity,
+// bumping thread-local counters; the GlobalAlloc contract (layout validity,
 // pointer provenance) is upheld by System itself.
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: caller upholds the GlobalAlloc contract; System does the work.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_allocation();
+        track_live(bytes(layout.size()));
         // SAFETY: `layout` is the caller's, passed through unchanged.
         unsafe { System.alloc(layout) }
     }
@@ -60,6 +86,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: caller upholds the GlobalAlloc contract; System does the work.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count_allocation();
+        track_live(bytes(layout.size()));
         // SAFETY: `layout` is the caller's, passed through unchanged.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -67,12 +94,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: caller upholds the GlobalAlloc contract; System does the work.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_allocation();
+        track_live(bytes(new_size) - bytes(layout.size()));
         // SAFETY: `ptr`/`layout` came from this allocator (which is System).
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     // SAFETY: caller upholds the GlobalAlloc contract; System does the work.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track_live(-bytes(layout.size()));
         // SAFETY: `ptr`/`layout` came from this allocator (which is System).
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -83,6 +112,21 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn allocations() -> usize {
     ALLOCATIONS.with(Cell::get)
+}
+
+/// The current thread's live bytes.
+fn live_bytes() -> isize {
+    LIVE_BYTES.with(Cell::get)
+}
+
+/// Restart the current thread's peak at its live bytes.
+fn reset_peak() {
+    PEAK_BYTES.with(|p| p.set(live_bytes()));
+}
+
+/// The current thread's peak live bytes since [`reset_peak`].
+fn peak_bytes() -> isize {
+    PEAK_BYTES.with(Cell::get)
 }
 
 const N_COLS: usize = 3;
@@ -284,4 +328,65 @@ fn stream_allocations_scale_with_chunks_not_table_size() {
             "{policy:?}: peak resident bytes vary with row count"
         );
     }
+}
+
+/// The forward pass keeps O(block) scratch: scoring four times the cells
+/// may raise the peak live bytes by no more than the larger output. With
+/// one worker every fold shard runs on the measuring thread, so the
+/// thread's peak sees all of the forward's buffers. A forward that held
+/// every shard's layer caches until the head ran would grow by its
+/// caches — inputs and hidden states of every layer, for every
+/// character — instead.
+#[test]
+fn forward_peak_memory_grows_only_with_the_output() {
+    use etsb_core::model::PREDICT_BLOCK;
+    use etsb_nn::parallel::set_worker_override;
+    use etsb_table::CellFrame;
+
+    // N cells fill each of the 16 fold shards with one whole block, so
+    // both sizes run the same block shapes; fixed-width distinct values
+    // keep every block's buffers at the same size.
+    let n = 16 * PREDICT_BLOCK;
+    let cols = 4;
+    let mut table = Table::with_columns(&["a", "b", "c", "d"]);
+    for r in 0..4 * n / cols {
+        table.push_row((0..cols).map(|c| format!("v{:05}", r * cols + c)).collect());
+    }
+    let frame = CellFrame::merge(&table, &table).expect("merge");
+    let data = EncodedDataset::from_frame(&frame);
+    let cfg = TrainConfig {
+        rnn_units: 4,
+        attr_rnn_units: 2,
+        head_dim: 4,
+        length_dense_dim: 2,
+        embed_dim: Some(3),
+        ..TrainConfig::default()
+    };
+    let model = AnyModel::new(ModelKind::Etsb, &data, &cfg, &mut seeded_rng(5));
+    // The per-shard probability vectors and the concatenated result:
+    // two f32 per cell, live together while the shards are joined.
+    let output_bytes_per_cell = 2 * std::mem::size_of::<f32>();
+
+    set_worker_override(1);
+    for policy in [KernelPolicy::Exact, KernelPolicy::FastMath] {
+        let peak_growth = |count: usize| -> usize {
+            let cells: Vec<usize> = (0..count).collect();
+            let _ = model.predict_probs_direct_with(&data, &cells, policy);
+            reset_peak();
+            let base = live_bytes();
+            let probs = model.predict_probs_direct_with(&data, &cells, policy);
+            let growth = peak_bytes() - base;
+            assert_eq!(probs.len(), count);
+            usize::try_from(growth).unwrap_or(0)
+        };
+        let (small, large) = (peak_growth(n), peak_growth(4 * n));
+        assert!(
+            large <= small + 3 * n * output_bytes_per_cell,
+            "{policy:?}: forward peak grew from {small} B over {n} cells to {large} B over {} \
+             (bound {} B per extra cell)",
+            4 * n,
+            output_bytes_per_cell
+        );
+    }
+    set_worker_override(0);
 }
