@@ -18,16 +18,11 @@ use etsb_table::CellFrame;
 /// trace as an `event` when tracing is enabled.
 pub fn progress(scope: impl std::fmt::Display, message: impl std::fmt::Display) {
     eprintln!("[{scope}] {message}");
-    if etsb_obs::enabled() {
-        etsb_obs::emit(
-            "event",
-            vec![
-                ("name", etsb_obs::FieldValue::from("progress")),
-                ("scope", etsb_obs::FieldValue::from(scope.to_string())),
-                ("message", etsb_obs::FieldValue::from(message.to_string())),
-            ],
-        );
-    }
+    etsb_obs::obs_event!(
+        "progress",
+        "scope" => scope.to_string(),
+        "message" => message.to_string(),
+    );
 }
 
 /// Section header on stdout: a blank line and `=== title ===`.

@@ -23,10 +23,6 @@ fn main() -> ExitCode {
         eprintln!("error: {e}");
         return ExitCode::from(2);
     }
-    if let Err(e) = etsb_obs::registry::init_from_env() {
-        eprintln!("error: {e}");
-        return ExitCode::from(2);
-    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = args.split_first() else {
         eprintln!("{}", commands::USAGE);

@@ -655,7 +655,7 @@ impl AnyModel {
                     (rows + sb.total_rows(), steps + sb.t_max())
                 });
             if steps > 0 {
-                etsb_obs::gauge("batch_occupancy", rows as f64 / steps as f64);
+                etsb_obs::obs_event!("batch_occupancy", "value" => rows as f64 / steps as f64);
             }
         }
 
@@ -718,10 +718,10 @@ impl AnyModel {
             }
             (acc, ws_bytes)
         });
-        if etsb_obs::enabled() {
-            let bytes: usize = shard_grads.iter().map(|(_, b)| b).sum();
-            etsb_obs::gauge("workspace_bytes", bytes as f64);
-        }
+        etsb_obs::obs_event!(
+            "workspace_bytes",
+            "value" => shard_grads.iter().map(|(_, b)| b).sum::<usize>(),
+        );
         let mut iter = shard_grads.into_iter().map(|(acc, _)| acc);
         if let Some(mut total) = iter.next() {
             for b in iter {
@@ -836,32 +836,12 @@ impl AnyModel {
             .filter(|&s| rep_probs[s].is_none())
             .collect();
         let miss_cells: Vec<usize> = miss_slots.iter().map(|&s| reps[s]).collect();
-        if etsb_obs::enabled() {
-            etsb_obs::emit(
-                "counter",
-                vec![
-                    ("name", etsb_obs::FieldValue::from("predict_cells")),
-                    ("value", etsb_obs::FieldValue::from(cells.len())),
-                ],
-            );
-            etsb_obs::emit(
-                "counter",
-                vec![
-                    ("name", etsb_obs::FieldValue::from("predict_unique")),
-                    ("value", etsb_obs::FieldValue::from(reps.len())),
-                ],
-            );
-            etsb_obs::emit(
-                "counter",
-                vec![
-                    ("name", etsb_obs::FieldValue::from("predict_cache_hits")),
-                    (
-                        "value",
-                        etsb_obs::FieldValue::from(reps.len() - miss_slots.len()),
-                    ),
-                ],
-            );
-        }
+        etsb_obs::obs_event!(
+            "predict",
+            "cells" => cells.len(),
+            "unique" => reps.len(),
+            "cache_hits" => reps.len() - miss_slots.len(),
+        );
         let computed = self.predict_probs_direct_with(data, &miss_cells, policy);
         for (&slot, prob) in miss_slots.iter().zip(computed) {
             rep_probs[slot] = Some(prob);

@@ -106,11 +106,12 @@ pub fn run_with_sample(
     let preds = model.predict(data, &test_cells);
     let labels = data.labels_of(&test_cells);
     let metrics = Metrics::from_predictions(&preds, &labels);
-    if etsb_obs::enabled() {
-        etsb_obs::gauge("precision", metrics.precision);
-        etsb_obs::gauge("recall", metrics.recall);
-        etsb_obs::gauge("f1", metrics.f1);
-    }
+    etsb_obs::obs_event!(
+        "eval",
+        "precision" => metrics.precision,
+        "recall" => metrics.recall,
+        "f1" => metrics.f1,
+    );
     RunResult {
         metrics,
         history,

@@ -112,17 +112,13 @@ pub fn train_model(
             // batches.
             epoch_loss += model.train_batch(data, batch, &mut grads) * batch.len() as f32;
             cells_seen += batch.len();
-            if etsb_obs::enabled() {
-                etsb_obs::gauge("grad_global_norm", grads.global_norm());
-            }
+            etsb_obs::obs_event!("grad_global_norm", "value" => grads.global_norm());
             let _opt_span = etsb_obs::span("optimizer");
             opt.step(&mut model.params_mut(), &grads);
         }
         epoch_loss /= cells_seen.max(1) as f32;
         history.train_loss.push(epoch_loss);
-        if etsb_obs::enabled() {
-            etsb_obs::gauge("train_loss", f64::from(epoch_loss));
-        }
+        etsb_obs::obs_event!("train_loss", "value" => epoch_loss);
 
         // The paper's callback: keep the weights of the best train loss.
         if epoch_loss < best_loss {
@@ -135,15 +131,7 @@ pub fn train_model(
                 "loss" => f64::from(epoch_loss),
             );
         }
-        let epoch_elapsed = train_start.elapsed();
-        history.train_duration += epoch_elapsed;
-        if etsb_obs::registry::metrics_enabled() {
-            let registry = etsb_obs::registry::global();
-            registry.counter("train_epochs_total").inc();
-            registry
-                .histogram("train_epoch_ns")
-                .record_ns(u64::try_from(epoch_elapsed.as_nanos()).unwrap_or(u64::MAX));
-        }
+        history.train_duration += train_start.elapsed();
 
         if cfg.track_train_acc {
             let _eval_span = etsb_obs::span("eval_train_acc");

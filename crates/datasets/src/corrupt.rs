@@ -123,13 +123,10 @@ impl<'a> Injector<'a> {
         }
         if etsb_obs::enabled() {
             for (kind, done) in &applied {
-                etsb_obs::emit(
-                    "counter",
-                    vec![
-                        ("name", etsb_obs::FieldValue::from("corrupt_applied")),
-                        ("kind", etsb_obs::FieldValue::from(kind.code())),
-                        ("value", etsb_obs::FieldValue::from(*done)),
-                    ],
+                etsb_obs::obs_event!(
+                    "corrupt_applied",
+                    "kind" => kind.code(),
+                    "value" => *done,
                 );
             }
         }

@@ -59,6 +59,13 @@ impl Activation {
     }
 }
 
+/// The logistic sigmoid of the LSTM and GRU gates. It calls the host
+/// libm's `expf`, so gate bits follow the platform's libm.
+#[inline]
+pub(crate) fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + (-x).exp())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

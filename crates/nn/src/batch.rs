@@ -154,8 +154,8 @@ impl SeqBatch {
         self.order[slot]
     }
 
-    /// Mean active rows per timestep — the batch-efficiency gauge the
-    /// trainer exports as `batch_occupancy` (1.0 = no batching benefit,
+    /// Mean active rows per timestep — the batch efficiency the trainer
+    /// traces as the `batch_occupancy` event (1.0 = no batching benefit,
     /// `n_samples` = perfectly rectangular batch).
     pub fn occupancy(&self) -> f64 {
         self.total_rows() as f64 / self.t_max() as f64

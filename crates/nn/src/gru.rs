@@ -11,17 +11,13 @@
 //!
 //! Gate layout in the fused weight matrices: `[z, r, n]`.
 
+use crate::activation::sigmoid;
 use crate::batch::{accumulate_seq_grads, SeqBatch};
 use crate::rnn::{split_cell_grads, Recurrence};
 use crate::Param;
 use etsb_tensor::simd::tanh_exact;
 use etsb_tensor::{init, KernelPolicy, Matrix, Workspace};
 use rand::rngs::StdRng;
-
-#[inline]
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
-}
 
 /// A GRU cell with fused gate weights.
 #[derive(Clone, Debug)]
@@ -248,7 +244,7 @@ impl Recurrence for GruCell {
                 for j in 0..h {
                     g_row[2 * h + j] = zx[2 * h + j] + g_row[h + j] * hn_row[j] + b[2 * h + j];
                 }
-                tanh_exact(&mut g_row[2 * h..3 * h]);
+                policy.tanh(&mut g_row[2 * h..3 * h]);
                 let h_row = cache.hidden.row_mut(off + s);
                 let g_row = cache.gates.row(off + s);
                 for j in 0..h {

@@ -8,17 +8,13 @@
 //!
 //! Gate layout in the fused weight matrices: `[input, forget, cell, output]`.
 
+use crate::activation::sigmoid;
 use crate::batch::{accumulate_seq_grads, SeqBatch};
 use crate::rnn::{split_cell_grads, Recurrence};
 use crate::Param;
 use etsb_tensor::simd::tanh_exact;
 use etsb_tensor::{init, KernelPolicy, Matrix, Workspace};
 use rand::rngs::StdRng;
-
-#[inline]
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
-}
 
 /// An LSTM cell with fused gate weights.
 #[derive(Clone, Debug)]
@@ -247,7 +243,7 @@ impl Recurrence for LstmCell {
                     g_row[2 * h + j] = z[2 * h + j]; // g, tanh below
                     g_row[3 * h + j] = sigmoid(z[3 * h + j]); // o
                 }
-                tanh_exact(&mut g_row[2 * h..3 * h]);
+                policy.tanh(&mut g_row[2 * h..3 * h]);
                 let c_row = cache.cells.row_mut(off + s);
                 let g_row = cache.gates.row(off + s);
                 let cp = c_prev.row(s);
@@ -257,7 +253,7 @@ impl Recurrence for LstmCell {
                 let c_row = cache.cells.row(off + s);
                 let tc_row = cache.tanh_cells.row_mut(off + s);
                 tc_row.copy_from_slice(c_row);
-                tanh_exact(tc_row);
+                policy.tanh(tc_row);
                 let tc_row = cache.tanh_cells.row(off + s);
                 let h_row = cache.hidden.row_mut(off + s);
                 for j in 0..h {

@@ -16,15 +16,8 @@
 //! bitwise-identical for a given seed regardless of `ETSB_WORKERS` / core
 //! count.
 
-use etsb_obs::registry;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
-
-/// A duration in whole nanoseconds, saturating at `u64::MAX`.
-fn saturating_ns(d: std::time::Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
 
 /// Fixed shard count cap for [`fold_shards`]: enough slack for any
 /// realistic core count while keeping per-shard merge cost trivial.
@@ -104,55 +97,37 @@ where
     }
     let chunk = n.div_ceil(shards);
     let workers = worker_count(shards);
-    // Shard wall times are recorded into the global registry from the
-    // coordinating thread in shard-index order (never from workers), so
-    // the metrics hot path cannot perturb scheduling or float order.
-    let timing = registry::metrics_enabled();
     let run_shard = |s: usize| {
         let start = (s * chunk).min(n);
         let end = ((s + 1) * chunk).min(n);
-        if timing {
-            let t0 = Instant::now();
-            let out = f(s, start..end);
-            (out, saturating_ns(t0.elapsed()))
-        } else {
-            (f(s, start..end), 0)
-        }
+        f(s, start..end)
     };
-    let timed: Vec<(T, u64)> = if workers <= 1 || n < SPAWN_THRESHOLD {
-        (0..shards).map(run_shard).collect()
-    } else {
-        let per_worker = shards.div_ceil(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let run_shard = &run_shard;
-                    scope.spawn(move || {
-                        let start = w * per_worker;
-                        let end = ((w + 1) * per_worker).min(shards);
-                        (start..end).map(run_shard).collect::<Vec<(T, u64)>>()
-                    })
-                })
-                .collect();
-            let mut out = Vec::with_capacity(shards);
-            // Workers cover contiguous shard ranges in worker order, so
-            // concatenation restores shard order exactly.
-            for handle in handles {
-                match handle.join() {
-                    Ok(part) => out.extend(part),
-                    Err(panic) => std::panic::resume_unwind(panic),
-                }
-            }
-            out
-        })
-    };
-    if timing {
-        let hist = registry::global().histogram("parallel_shard_ns");
-        for (_, ns) in &timed {
-            hist.record_ns(*ns);
-        }
+    if workers <= 1 || n < SPAWN_THRESHOLD {
+        return (0..shards).map(run_shard).collect();
     }
-    timed.into_iter().map(|(out, _)| out).collect()
+    let per_worker = shards.div_ceil(workers);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let run_shard = &run_shard;
+                scope.spawn(move || {
+                    let start = w * per_worker;
+                    let end = ((w + 1) * per_worker).min(shards);
+                    (start..end).map(run_shard).collect::<Vec<T>>()
+                })
+            })
+            .collect();
+        let mut out = Vec::with_capacity(shards);
+        // Workers cover contiguous shard ranges in worker order, so
+        // concatenation restores shard order exactly.
+        for handle in handles {
+            match handle.join() {
+                Ok(part) => out.extend(part),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        out
+    })
 }
 
 #[cfg(test)]

@@ -130,8 +130,9 @@ pub struct RnnCell {
     pub b: Param,
 }
 
-/// Cache from [`RnnCell::forward`]: owns the inputs and the hidden-state
-/// sequence (`hidden.row(t)` is `h_t`, which is also the layer output).
+/// Cache from [`Recurrence::forward_seq`] on an [`RnnCell`]: owns the
+/// inputs and the hidden-state sequence (`hidden.row(t)` is `h_t`, which
+/// is also the layer output).
 #[derive(Clone, Debug, Default)]
 pub struct RnnCache {
     /// The `T x input_dim` input sequence.
@@ -154,25 +155,31 @@ impl RnnCell {
             b: Param::new(Matrix::zeros(1, hidden)),
         }
     }
+}
 
-    /// Hidden-state width.
-    pub fn hidden_dim(&self) -> usize {
-        self.wh.value.rows()
+impl Recurrence for RnnCell {
+    type Cache = RnnCache;
+
+    fn with_dims(input_dim: usize, hidden: usize, rng: &mut StdRng) -> Self {
+        RnnCell::new(input_dim, hidden, rng)
     }
 
-    /// Input width.
-    pub fn input_dim(&self) -> usize {
+    fn input_dim(&self) -> usize {
         self.wx.value.rows()
     }
 
+    fn hidden_dim(&self) -> usize {
+        self.wh.value.rows()
+    }
+
     /// Run the recurrence over `inputs` (`T x input_dim`, `T >= 1`).
-    pub fn forward(&self, inputs: Matrix) -> RnnCache {
+    fn forward_seq(&self, inputs: Matrix) -> (Matrix, RnnCache) {
         let t_max = inputs.rows();
-        assert!(t_max > 0, "RnnCell::forward: empty sequence");
+        assert!(t_max > 0, "RnnCell::forward_seq: empty sequence");
         assert_eq!(
             inputs.cols(),
             self.input_dim(),
-            "RnnCell::forward: input width {} != cell input dim {}",
+            "RnnCell::forward_seq: input width {} != cell input dim {}",
             inputs.cols(),
             self.input_dim()
         );
@@ -190,16 +197,61 @@ impl RnnCell {
             hidden.row_mut(t).copy_from_slice(&z);
             prev = z;
         }
-        RnnCache { inputs, hidden }
+        (hidden.clone(), RnnCache { inputs, hidden })
+    }
+
+    /// BPTT. `grad_out` is `dL/dh_t` for every step (`T x hidden`);
+    /// parameter gradients accumulate into `grads` (slots `wx, wh, b`),
+    /// and the gradient with respect to the inputs (`T x input_dim`) is
+    /// returned.
+    fn backward_seq(&self, cache: &RnnCache, grad_out: &Matrix, grads: &mut [Matrix]) -> Matrix {
+        let t_max = cache.hidden.rows();
+        let h = self.hidden_dim();
+        assert_eq!(
+            grad_out.shape(),
+            (t_max, h),
+            "RnnCell::backward_seq: grad shape {:?} != {:?}",
+            grad_out.shape(),
+            (t_max, h)
+        );
+        let (gwx, gwh, gb) = split_cell_grads(grads, "RnnCell::backward_seq");
+        let mut dz_all = Matrix::zeros(t_max, h);
+        let mut carry = vec![0.0_f32; h]; // dL/dh_t arriving from step t+1
+        let wht = self.wh.value.transpose();
+        for t in (0..t_max).rev() {
+            let h_t = cache.hidden.row(t);
+            // dz_t = (dL/dh_t) * tanh'(z_t), with tanh' = 1 - h_t².
+            let dz_row = dz_all.row_mut(t);
+            for (((dzj, &g), &c), &ht) in
+                dz_row.iter_mut().zip(grad_out.row(t)).zip(&carry).zip(h_t)
+            {
+                *dzj = (g + c) * (1.0 - ht * ht);
+            }
+            let dz = dz_all.row(t);
+            etsb_tensor::add_assign(gb.row_mut(0), dz);
+            carry = wht.vecmat(dz);
+        }
+        // Weight gradients batched over the whole sequence: bitwise
+        // identical to ascending per-step `add_outer` calls.
+        let mut col = Vec::new();
+        gwx.add_transposed_matmul(&cache.inputs, 0, &dz_all, 0, t_max, &mut col);
+        if t_max > 1 {
+            gwh.add_transposed_matmul(&cache.hidden, 0, &dz_all, 1, t_max - 1, &mut col);
+        }
+        dz_all.matmul(&self.wx.value.transpose())
+    }
+
+    fn seq_output(cache: &RnnCache) -> &Matrix {
+        &cache.hidden
     }
 
     /// Batched forward over a packed timestep-major batch: the per-step
     /// recurrent product becomes one `active x hidden` windowed matmul
     /// whose rows reduce exactly like the per-sample `vecmat`, so each
     /// sample's hidden sequence is bitwise identical to
-    /// [`RnnCell::forward`] on that sample alone (under
+    /// [`Recurrence::forward_seq`] on that sample alone (under
     /// [`KernelPolicy::Exact`]; `FastMath` is epsilon-close).
-    pub fn forward_batch_into(
+    fn forward_batch_into(
         &self,
         packed: &Matrix,
         batch: &SeqBatch,
@@ -250,22 +302,18 @@ impl RnnCell {
             }
             // Step t's active rows are contiguous: one elementwise tanh
             // over the whole block.
-            let block = &mut cache.hidden.as_mut_slice()[off * h..(off + n_act) * h];
-            match policy {
-                KernelPolicy::Exact => tanh_exact(block),
-                KernelPolicy::FastMath => etsb_tensor::simd::tanh_fast(block),
-            }
+            policy.tanh(&mut cache.hidden.as_mut_slice()[off * h..(off + n_act) * h]);
         }
         ws.put_mat("rnn.brec", rec);
         ws.put_mat("rnn.bz_all", z_all);
     }
 
     /// Batched BPTT over a packed batch, bitwise identical to per-sample
-    /// [`RnnCell::backward`] calls in original batch order: the
+    /// [`Recurrence::backward_seq`] calls in original batch order: the
     /// carry matrix shrinks with the active batch (samples retiring after
     /// step `t` read the same all-zero carry a fresh per-sample backward
     /// starts from), and weight/bias gradients are replayed per sample.
-    pub fn backward_batch_into(
+    fn backward_batch_into(
         &self,
         batch: &SeqBatch,
         cache: &RnnCache,
@@ -330,120 +378,12 @@ impl RnnCell {
         ws.put_mat("rnn.bdz_all", dz_all);
     }
 
-    /// BPTT. `grad_hidden` is `dL/dh_t` for every step (`T x hidden`);
-    /// parameter gradients accumulate into `grads` (slots `wx, wh, b`),
-    /// and the gradient with respect to the inputs (`T x input_dim`) is
-    /// returned.
-    pub fn backward(&self, cache: &RnnCache, grad_hidden: &Matrix, grads: &mut [Matrix]) -> Matrix {
-        let t_max = cache.hidden.rows();
-        let h = self.hidden_dim();
-        assert_eq!(
-            grad_hidden.shape(),
-            (t_max, h),
-            "RnnCell::backward: grad shape {:?} != {:?}",
-            grad_hidden.shape(),
-            (t_max, h)
-        );
-        let (gwx, gwh, gb) = split_cell_grads(grads, "RnnCell::backward");
-        let mut dz_all = Matrix::zeros(t_max, h);
-        let mut carry = vec![0.0_f32; h]; // dL/dh_t arriving from step t+1
-        let wht = self.wh.value.transpose();
-        for t in (0..t_max).rev() {
-            let h_t = cache.hidden.row(t);
-            // dz_t = (dL/dh_t) * tanh'(z_t), with tanh' = 1 - h_t².
-            let dz_row = dz_all.row_mut(t);
-            for (((dzj, &g), &c), &ht) in dz_row
-                .iter_mut()
-                .zip(grad_hidden.row(t))
-                .zip(&carry)
-                .zip(h_t)
-            {
-                *dzj = (g + c) * (1.0 - ht * ht);
-            }
-            let dz = dz_all.row(t);
-            etsb_tensor::add_assign(gb.row_mut(0), dz);
-            carry = wht.vecmat(dz);
-        }
-        // Weight gradients batched over the whole sequence: bitwise
-        // identical to ascending per-step `add_outer` calls.
-        let mut col = Vec::new();
-        gwx.add_transposed_matmul(&cache.inputs, 0, &dz_all, 0, t_max, &mut col);
-        if t_max > 1 {
-            gwh.add_transposed_matmul(&cache.hidden, 0, &dz_all, 1, t_max - 1, &mut col);
-        }
-        dz_all.matmul(&self.wx.value.transpose())
-    }
-
-    /// Parameters in a stable order (for optimizers / checkpoints).
-    pub fn params(&self) -> Vec<&Param> {
+    fn params(&self) -> Vec<&Param> {
         vec![&self.wx, &self.wh, &self.b]
     }
 
-    /// Mutable parameters in the same stable order.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.wx, &mut self.wh, &mut self.b]
-    }
-}
-
-impl Recurrence for RnnCell {
-    type Cache = RnnCache;
-
-    fn with_dims(input_dim: usize, hidden: usize, rng: &mut StdRng) -> Self {
-        RnnCell::new(input_dim, hidden, rng)
-    }
-
-    fn input_dim(&self) -> usize {
-        RnnCell::input_dim(self)
-    }
-
-    fn hidden_dim(&self) -> usize {
-        RnnCell::hidden_dim(self)
-    }
-
-    fn forward_seq(&self, inputs: Matrix) -> (Matrix, RnnCache) {
-        let cache = self.forward(inputs);
-        (cache.hidden.clone(), cache)
-    }
-
-    fn backward_seq(&self, cache: &RnnCache, grad_out: &Matrix, grads: &mut [Matrix]) -> Matrix {
-        self.backward(cache, grad_out, grads)
-    }
-
-    fn seq_output(cache: &RnnCache) -> &Matrix {
-        &cache.hidden
-    }
-
-    // etsb: allow(shape-assert) -- thin delegation; forward_batch_into asserts every shape.
-    fn forward_batch_into(
-        &self,
-        packed: &Matrix,
-        batch: &SeqBatch,
-        cache: &mut RnnCache,
-        ws: &mut Workspace,
-        policy: KernelPolicy,
-    ) {
-        RnnCell::forward_batch_into(self, packed, batch, cache, ws, policy);
-    }
-
-    // etsb: allow(shape-assert) -- thin delegation; backward_batch_into asserts every shape.
-    fn backward_batch_into(
-        &self,
-        batch: &SeqBatch,
-        cache: &RnnCache,
-        grad_out: &Matrix,
-        grads: &mut [Matrix],
-        grad_inputs: &mut Matrix,
-        ws: &mut Workspace,
-    ) {
-        RnnCell::backward_batch_into(self, batch, cache, grad_out, grads, grad_inputs, ws);
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        RnnCell::params(self)
-    }
-
     fn params_mut(&mut self) -> Vec<&mut Param> {
-        RnnCell::params_mut(self)
+        vec![&mut self.wx, &mut self.wh, &mut self.b]
     }
 }
 
@@ -897,13 +837,13 @@ mod tests {
         let mut rng = seeded_rng(1);
         let cell = RnnCell::new(3, 4, &mut rng);
         let inputs = Matrix::from_fn(5, 3, |i, j| (i as f32 - j as f32) * 0.1);
-        let cache = cell.forward(inputs.clone());
-        assert_eq!(cache.hidden.shape(), (5, 4));
+        let (out, _) = cell.forward_seq(inputs.clone());
+        assert_eq!(out.shape(), (5, 4));
         // Same input at t=0 and t=1 but different hidden states because of
         // the recurrence (h_0 feeds into h_1).
         let constant = Matrix::from_fn(2, 3, |_, _| 0.3);
-        let c2 = cell.forward(constant);
-        assert_ne!(c2.hidden.row(0), c2.hidden.row(1));
+        let (out, _) = cell.forward_seq(constant);
+        assert_ne!(out.row(0), out.row(1));
     }
 
     #[test]
@@ -911,8 +851,8 @@ mod tests {
         let mut rng = seeded_rng(2);
         let cell = RnnCell::new(2, 8, &mut rng);
         let inputs = Matrix::from_fn(20, 2, |i, _| i as f32);
-        let cache = cell.forward(inputs);
-        assert!(cache.hidden.as_slice().iter().all(|&x| x.abs() <= 1.0));
+        let (out, _) = cell.forward_seq(inputs);
+        assert!(out.as_slice().iter().all(|&x| x.abs() <= 1.0));
     }
 
     #[test]
@@ -962,12 +902,12 @@ mod tests {
         let cell = RnnCell::new(2, 3, &mut rng);
         let inputs = Matrix::from_fn(4, 2, |i, j| ((i + j) as f32 * 0.7).sin() * 0.5);
 
-        let loss = |c: &RnnCell| c.forward(inputs.clone()).hidden.sum();
+        let loss = |c: &RnnCell| c.forward_seq(inputs.clone()).0.sum();
 
-        let cache = cell.forward(inputs.clone());
+        let (_, cache) = cell.forward_seq(inputs.clone());
         let ones = Matrix::full(4, 3, 1.0);
         let mut grads = crate::param::grad_buffer_for(&cell.params());
-        let grad_inputs = cell.backward(&cache, &ones, grads.slots_mut());
+        let grad_inputs = cell.backward_seq(&cache, &ones, grads.slots_mut());
 
         let h = 1e-3_f32;
         // Check a selection of weights in each parameter.
@@ -989,7 +929,7 @@ mod tests {
         xp[(1, 0)] += h;
         let mut xm = inputs.clone();
         xm[(1, 0)] -= h;
-        let numeric = (cell.forward(xp).hidden.sum() - cell.forward(xm).hidden.sum()) / (2.0 * h);
+        let numeric = (cell.forward_seq(xp).0.sum() - cell.forward_seq(xm).0.sum()) / (2.0 * h);
         assert!(
             (numeric - analytic).abs() < 2e-2 * analytic.abs().max(1.0),
             "input grad: numeric {numeric} vs analytic {analytic}"
@@ -1137,11 +1077,83 @@ mod tests {
         check::<crate::LstmCell>(33);
     }
 
+    /// Every cell's batched forward takes its tanh from the policy. With
+    /// zero weights both policies' products are exactly zero, so the
+    /// pre-activations of a first step are the biases and its hidden
+    /// state has a closed form in them.
+    #[test]
+    fn batched_cells_take_tanh_from_the_policy() {
+        use crate::activation::sigmoid;
+        use crate::{GruCell, LstmCell};
+        use etsb_tensor::simd::tanh_fast;
+
+        type Tanh = fn(&mut [f32]);
+        fn fast_step<C: Recurrence>(mut cell: C, bias: &[f32]) -> Vec<f32> {
+            let mut params = cell.params_mut();
+            params[0].value.map_inplace(|_| 0.0);
+            params[1].value.map_inplace(|_| 0.0);
+            params[2].value.as_mut_slice().copy_from_slice(bias);
+            let packed = Matrix::from_fn(1, cell.input_dim(), |_, j| 0.5 - j as f32 * 0.4);
+            let mut cache = C::Cache::default();
+            cell.forward_batch_into(
+                &packed,
+                &SeqBatch::from_lengths(&[1]),
+                &mut cache,
+                &mut Workspace::new(),
+                KernelPolicy::FastMath,
+            );
+            C::seq_output(&cache).row(0).to_vec()
+        }
+        fn apply(tanh: Tanh, xs: &[f32]) -> Vec<f32> {
+            let mut ys = xs.to_vec();
+            tanh(&mut ys);
+            ys
+        }
+        let h = 4;
+        let b: Vec<f32> = (0..4 * h).map(|j| j as f32 * 0.29 - 2.1).collect();
+        let sig = |xs: &[f32]| xs.iter().map(|&x| sigmoid(x)).collect::<Vec<f32>>();
+        // h = tanh(b)
+        let vanilla = |tanh: Tanh| apply(tanh, &b[..h]);
+        // h = (1 - z)·tanh(b_n) + z·0
+        let gru = |tanh: Tanh| {
+            let (z, n) = (sig(&b[..h]), apply(tanh, &b[2 * h..3 * h]));
+            (0..h).map(|j| (1.0 - z[j]) * n[j] + z[j] * 0.0).collect()
+        };
+        // c = f·0 + i·tanh(b_g), h = o·tanh(c)
+        let lstm = |tanh: Tanh| {
+            let (i, f, o) = (sig(&b[..h]), sig(&b[h..2 * h]), sig(&b[3 * h..]));
+            let g = apply(tanh, &b[2 * h..3 * h]);
+            let c: Vec<f32> = (0..h).map(|j| f[j] * 0.0 + i[j] * g[j]).collect();
+            let tc = apply(tanh, &c);
+            (0..h).map(|j| o[j] * tc[j]).collect()
+        };
+        let check = |name: &str, got: Vec<f32>, closed: &dyn Fn(Tanh) -> Vec<f32>| {
+            assert_ne!(
+                closed(tanh_exact),
+                closed(tanh_fast),
+                "{name}: the biases must tell the two tanh kernels apart"
+            );
+            assert_eq!(got, closed(tanh_fast), "{name}: FastMath forward");
+        };
+        let mut rng = seeded_rng(9);
+        check(
+            "vanilla",
+            fast_step(RnnCell::new(3, h, &mut rng), &b[..h]),
+            &vanilla,
+        );
+        check(
+            "gru",
+            fast_step(GruCell::new(3, h, &mut rng), &b[..3 * h]),
+            &gru,
+        );
+        check("lstm", fast_step(LstmCell::new(3, h, &mut rng), &b), &lstm);
+    }
+
     #[test]
     #[should_panic(expected = "empty sequence")]
     fn empty_sequence_panics() {
         let mut rng = seeded_rng(8);
         let cell = RnnCell::new(2, 2, &mut rng);
-        let _ = cell.forward(Matrix::zeros(0, 2));
+        let _ = cell.forward_seq(Matrix::zeros(0, 2));
     }
 }

@@ -146,18 +146,16 @@ proptest! {
     fn snapshot_restore_is_identity(seed in 0u64..500, n in 1usize..5) {
         let mut rng = seeded_rng(seed);
         let cell = RnnCell::new(n, n, &mut rng);
-        let values: Vec<&Matrix> = Recurrence::params(&cell).iter().map(|p| &p.value).collect();
+        let values: Vec<&Matrix> = cell.params().iter().map(|p| &p.value).collect();
         let snap = etsb_nn::snapshot(&values);
         let mut copy = cell.clone();
-        let mut targets: Vec<&mut Matrix> = Recurrence::params_mut(&mut copy)
-            .into_iter()
-            .map(|p| &mut p.value)
-            .collect();
+        let mut targets: Vec<&mut Matrix> =
+            copy.params_mut().into_iter().map(|p| &mut p.value).collect();
         for m in targets.iter_mut() {
             m.map_inplace(|x| x + 1.0);
         }
         etsb_nn::restore(&snap, &mut targets).unwrap();
-        for (a, b) in Recurrence::params(&cell).iter().zip(Recurrence::params(&copy)) {
+        for (a, b) in cell.params().iter().zip(copy.params()) {
             prop_assert_eq!(&a.value, &b.value);
         }
     }

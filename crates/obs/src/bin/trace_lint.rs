@@ -1,10 +1,9 @@
 //! `trace_lint`: validate an `ETSB_TRACE` JSONL trace, a run manifest,
 //! and/or a Prometheus text exposition. Used by `run_checks.sh` to gate
 //! the observability layer: every trace line must be a valid JSON object
-//! carrying the stable schema keys, cumulative counters (names ending in
-//! `_total`) must be monotonic across the file, the manifest must carry
-//! every required field, and an exposition must satisfy the histogram
-//! invariants (`etsb_obs::expo::validate`).
+//! carrying the stable schema keys and one of the three event kinds, the
+//! manifest must carry every required field, and an exposition must
+//! satisfy the histogram invariants (`etsb_obs::expo::validate`).
 //!
 //! Usage:
 //!   trace_lint [--trace <trace.jsonl>] [--manifest <manifest.json>]
@@ -14,10 +13,9 @@
 //! offending line number and reason.
 
 use etsb_obs::json;
-use std::collections::BTreeMap;
 
 const TRACE_REQUIRED_KEYS: &[&str] = &["ts_rel_us", "span", "kind", "fields"];
-const TRACE_KINDS: &[&str] = &["span_start", "span_end", "counter", "gauge", "event"];
+const TRACE_KINDS: &[&str] = &["span_start", "span_end", "event"];
 const DATASET_REQUIRED_KEYS: &[&str] = &["name", "rows", "cols", "cells"];
 
 fn usage() -> String {
@@ -57,45 +55,8 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     Ok(args)
 }
 
-/// Running monotonicity state for cumulative trace counters: name →
-/// (last value, line it was seen on). Only counters whose name ends in
-/// `_total` participate — other counter events (per-shard item counts,
-/// per-call dedup ratios) are point observations, not running totals.
-type CounterState = BTreeMap<String, (f64, usize)>;
-
-/// Enforce monotonicity for a `counter` event's `_total` series.
-fn check_counter_monotonic(
-    value: &json::Value,
-    line_no: usize,
-    state: &mut CounterState,
-) -> Result<(), String> {
-    let fields = match value.get("fields") {
-        Some(f) => f,
-        None => return Ok(()),
-    };
-    let Some(name) = fields.get("name").and_then(json::Value::as_str) else {
-        return Err("counter event lacks a name field".to_string());
-    };
-    if !name.ends_with("_total") {
-        return Ok(());
-    }
-    let Some(count) = fields.get("value").and_then(json::Value::as_f64) else {
-        return Err(format!("counter {name:?} lacks a numeric value"));
-    };
-    if let Some((prev, prev_line)) = state.get(name) {
-        if count < *prev {
-            return Err(format!(
-                "cumulative counter {name:?} decreased ({prev} at line {prev_line} -> {count})"
-            ));
-        }
-    }
-    state.insert(name.to_string(), (count, line_no));
-    Ok(())
-}
-
-/// Validate one trace line; returns the parsed value (so stream-level
-/// checks can continue on it) or a reason on violation.
-fn lint_trace_line(line: &str) -> Result<json::Value, String> {
+/// Validate one trace line; returns a reason on violation.
+fn lint_trace_line(line: &str) -> Result<(), String> {
     let value = json::parse(line).map_err(|e| format!("invalid JSON: {e}"))?;
     for key in TRACE_REQUIRED_KEYS {
         if value.get(key).is_none() {
@@ -139,22 +100,16 @@ fn lint_trace_line(line: &str) -> Result<json::Value, String> {
     if kind == "span_end" && value.get("fields").and_then(|f| f.get("dur_us")).is_none() {
         return Err("span_end event lacks dur_us field".to_string());
     }
-    Ok(value)
+    Ok(())
 }
 
 fn lint_trace_text(path: &str, text: &str) -> Result<usize, String> {
     let mut count = 0usize;
-    let mut counters = CounterState::new();
     for (idx, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let value =
-            lint_trace_line(line).map_err(|reason| format!("{path}:{}: {reason}", idx + 1))?;
-        if value.get("kind").and_then(json::Value::as_str) == Some("counter") {
-            check_counter_monotonic(&value, idx + 1, &mut counters)
-                .map_err(|reason| format!("{path}:{}: {reason}", idx + 1))?;
-        }
+        lint_trace_line(line).map_err(|reason| format!("{path}:{}: {reason}", idx + 1))?;
         count += 1;
     }
     if count == 0 {
@@ -238,53 +193,22 @@ mod tests {
     #[test]
     fn accepts_well_formed_lines() {
         let line =
-            r#"{"ts_rel_us":12,"span":"a.b","kind":"counter","fields":{"name":"x","value":3}}"#;
+            r#"{"ts_rel_us":12,"span":"a.b","kind":"event","fields":{"name":"x","value":3}}"#;
         assert!(lint_trace_line(line).is_ok());
     }
 
     #[test]
     fn rejects_missing_keys_and_bad_kinds() {
         assert!(lint_trace_line(r#"{"span":"a","kind":"event","fields":{}}"#).is_err());
-        assert!(
-            lint_trace_line(r#"{"ts_rel_us":1,"span":"a","kind":"bogus","fields":{}}"#).is_err()
-        );
+        for kind in ["bogus", "counter", "gauge"] {
+            let line = format!(r#"{{"ts_rel_us":1,"span":"a","kind":"{kind}","fields":{{}}}}"#);
+            assert!(lint_trace_line(&line).is_err(), "{kind}");
+        }
         assert!(lint_trace_line("not json").is_err());
         // span_end must carry its duration.
         assert!(
             lint_trace_line(r#"{"ts_rel_us":1,"span":"a","kind":"span_end","fields":{}}"#).is_err()
         );
-    }
-
-    fn counter_line(ts: u64, name: &str, value: i64) -> String {
-        format!(
-            r#"{{"ts_rel_us":{ts},"span":"s","kind":"counter","fields":{{"name":"{name}","value":{value}}}}}"#
-        )
-    }
-
-    #[test]
-    fn accepts_monotonic_total_counters() {
-        let trace = [
-            counter_line(1, "serve_cache_hits_total", 0),
-            counter_line(2, "serve_cache_hits_total", 3),
-            counter_line(3, "serve_cache_hits_total", 3),
-            // Non-_total counters are point observations: free to vary.
-            counter_line(4, "shard_items", 9),
-            counter_line(5, "shard_items", 2),
-        ]
-        .join("\n");
-        assert_eq!(lint_trace_text("fixture", &trace), Ok(5));
-    }
-
-    #[test]
-    fn rejects_decreasing_total_counters() {
-        let trace = [
-            counter_line(1, "serve_cache_hits_total", 5),
-            counter_line(2, "serve_cache_hits_total", 4),
-        ]
-        .join("\n");
-        let err = lint_trace_text("fixture", &trace).expect_err("must reject");
-        assert!(err.contains("decreased"), "{err}");
-        assert!(err.contains("fixture:2"), "{err}");
     }
 
     #[test]

@@ -3,27 +3,28 @@
 //!
 //! The §5.2 protocol (120 epochs × 10 repetitions × 6 datasets) is a
 //! long-running sweep; this crate makes it observable without touching
-//! results. It provides:
+//! results. Each kind of fact has one channel:
 //!
-//! * **Nestable spans** with scoped wall-clock timers ([`span`], the
-//!   [`obs_span!`] macro) — each span emits a `span_start` and a
-//!   `span_end` event carrying its duration in microseconds.
-//! * **Counters, gauges and events** ([`counter`], [`gauge`],
-//!   [`obs_event!`]) for training signals: per-epoch loss, gradient
-//!   global-norms, sanitizer hits, evaluation metrics.
+//! * **The trace** records what happened, in order: nestable spans with
+//!   scoped wall-clock timers ([`span`], the [`obs_span!`] macro), each
+//!   emitting a `span_start` and a `span_end` event that carries its
+//!   duration in microseconds, and named events with scalar fields
+//!   ([`obs_event!`]) for training signals: per-epoch loss, gradient
+//!   global norms, prediction dedup counts, sanitizer hits, evaluation
+//!   metrics.
 //! * **Pluggable sinks** ([`Sink`]): a JSONL file sink with a stable
 //!   one-object-per-line schema, a human-readable stderr sink, and an
 //!   in-memory capture sink for tests. Selected via
 //!   `ETSB_TRACE=off|stderr|jsonl:<path>` ([`init_from_env`]) or
 //!   programmatically ([`set_sink`]).
-//! * **In-process aggregation** ([`registry`]): a lock-cheap registry of
-//!   named counters, gauges and fixed-boundary log-scale latency
-//!   histograms with deterministic snapshots (enabled via
-//!   `ETSB_METRICS=on`); a **span profiler** ([`profile`]) folding
-//!   `span_start`/`span_end` events into per-span self-time rollups
-//!   (offline, by replaying a JSONL trace with the `trace_profile` bin);
-//!   and dependency-free **Prometheus text exposition** ([`expo`]) of
-//!   registry snapshots, served by `etsb serve`'s `GET /metrics`.
+//! * **Aggregates** ([`registry`]): a lock-cheap registry of named
+//!   counters, gauges and fixed-boundary log-scale latency histograms
+//!   with deterministic snapshots. Each `etsb serve` service owns one and
+//!   exports it through `GET /metrics` as dependency-free **Prometheus
+//!   text exposition** ([`expo`]). A **span profiler** ([`profile`])
+//!   folds `span_start`/`span_end` events into per-span self-time
+//!   rollups (offline, by replaying a JSONL trace with the
+//!   `trace_profile` bin).
 //!
 //! # Overhead contract
 //!
@@ -39,13 +40,14 @@
 //! Every JSONL line is one object with exactly four keys:
 //!
 //! ```json
-//! {"ts_rel_us":1234,"span":"pipeline.repetition.train_epoch","kind":"span_end","fields":{"dur_us":87,"epoch":3}}
+//! {"fields":{"dur_us":87,"epoch":3},"kind":"span_end","span":"train.epoch","ts_rel_us":1234}
 //! ```
 //!
 //! `ts_rel_us` is microseconds since the sink was installed; `span` is
 //! the dot-joined path of open spans on the emitting thread; `kind` is
-//! one of `span_start`, `span_end`, `counter`, `gauge`, `event`;
-//! `fields` is a flat string→scalar map.
+//! one of `span_start`, `span_end`, `event`; `fields` is a flat
+//! string→scalar map. An `event` names itself in its `name` field and
+//! carries a single value in a `value` field, several in named fields.
 
 pub mod expo;
 pub mod json;
@@ -154,7 +156,7 @@ pub struct Event {
     /// Dot-joined path of the open spans on the emitting thread
     /// (`""` at the root).
     pub span: String,
-    /// Event kind: `span_start`, `span_end`, `counter`, `gauge`, `event`.
+    /// Event kind: `span_start`, `span_end` or `event`.
     pub kind: &'static str,
     /// Flat key → scalar payload.
     pub fields: Vec<(&'static str, FieldValue)>,
@@ -182,8 +184,9 @@ impl Event {
 }
 
 /// Whether tracing is currently enabled. One relaxed atomic load — the
-/// entire cost of every instrumentation point when tracing is off. Check
-/// this before assembling field vectors for [`emit`].
+/// entire cost of every instrumentation point when tracing is off. The
+/// macros check it themselves; check it at a call site only to skip work
+/// done outside them.
 #[inline(always)]
 pub fn enabled() -> bool {
     TRACE_ON.load(Ordering::Relaxed)
@@ -270,47 +273,19 @@ fn deliver(event: Event) {
     }
 }
 
-/// Emit an event of the given kind with explicit fields. No-op (single
-/// atomic load) when tracing is off — but prefer checking [`enabled`]
-/// at the call site so field construction is skipped too.
-pub fn emit(kind: &'static str, fields: Vec<(&'static str, FieldValue)>) {
+/// Emit an `event` with explicit fields; [`obs_event!`] is the way to
+/// call it. No-op (single atomic load) when tracing is off.
+#[doc(hidden)]
+pub fn emit(fields: Vec<(&'static str, FieldValue)>) {
     if !enabled() {
         return;
     }
     deliver(Event {
         ts_rel_us: now_rel_us(),
         span: span_path(),
-        kind,
+        kind: "event",
         fields,
     });
-}
-
-/// Emit a named `counter` event (monotonic count observations).
-pub fn counter(name: &'static str, value: u64) {
-    if !enabled() {
-        return;
-    }
-    emit(
-        "counter",
-        vec![
-            ("name", FieldValue::Str(name.to_string())),
-            ("value", FieldValue::U64(value)),
-        ],
-    );
-}
-
-/// Emit a named `gauge` event (point-in-time measurement).
-pub fn gauge(name: &'static str, value: f64) {
-    if !enabled() {
-        return;
-    }
-    emit(
-        "gauge",
-        vec![
-            ("name", FieldValue::Str(name.to_string())),
-            ("value", FieldValue::F64(value)),
-        ],
-    );
 }
 
 /// RAII guard for a span: entering pushes onto the thread's span stack
@@ -408,20 +383,18 @@ macro_rules! obs_span {
     };
 }
 
-/// Emit a named `event` with fields:
-/// `obs_event!("checkpoint", "epoch" => e, "loss" => l)`.
-/// Fields are only evaluated when tracing is enabled.
+/// Emit a named `event` with fields — the one way to record a fact in the
+/// trace: `obs_event!("checkpoint", "epoch" => e, "loss" => l)`. A single
+/// value goes in a `value` field. Fields are only evaluated when tracing
+/// is enabled.
 #[macro_export]
 macro_rules! obs_event {
     ($name:literal $(, $key:literal => $value:expr)* $(,)?) => {
         if $crate::enabled() {
-            $crate::emit(
-                "event",
-                vec![
-                    ("name", $crate::FieldValue::from($name)),
-                    $(($key, $crate::FieldValue::from($value))),*
-                ],
-            );
+            $crate::emit(vec![
+                ("name", $crate::FieldValue::from($name)),
+                $(($key, $crate::FieldValue::from($value))),*
+            ]);
         }
     };
 }
@@ -460,8 +433,7 @@ mod tests {
         set_sink(None);
         assert!(!enabled());
         // None of these may panic or emit with no sink installed.
-        counter("x", 1);
-        gauge("y", 2.0);
+        obs_event!("x", "value" => 1u64);
         let _span = span("dead");
         drop(_span);
     }
@@ -472,7 +444,7 @@ mod tests {
             let _outer = obs_span!("outer", "n" => 3usize);
             {
                 let _inner = span("inner");
-                counter("ticks", 7);
+                obs_event!("ticks", "value" => 7u64);
             }
         });
         let kinds: Vec<_> = events.iter().map(|e| (e.kind, e.span.clone())).collect();
@@ -481,7 +453,7 @@ mod tests {
             vec![
                 ("span_start", "outer".to_string()),
                 ("span_start", "outer.inner".to_string()),
-                ("counter", "outer.inner".to_string()),
+                ("event", "outer.inner".to_string()),
                 ("span_end", "outer.inner".to_string()),
                 ("span_end", "outer".to_string()),
             ]
@@ -499,7 +471,7 @@ mod tests {
     fn json_lines_parse_with_required_keys() {
         let events = with_capture(|| {
             let _span = obs_span!("demo", "label" => "a \"b\"");
-            gauge("loss", 0.125);
+            obs_event!("loss", "value" => 0.125);
         });
         assert!(!events.is_empty());
         for e in &events {
@@ -526,7 +498,7 @@ mod tests {
         assert!(enabled());
         let prev_hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        counter("boom", 1); // must not unwind out of here
+        obs_event!("boom"); // must not unwind out of here
         std::panic::set_hook(prev_hook);
         assert!(!enabled(), "a panicking sink must disable tracing");
         set_sink(None);

@@ -313,7 +313,7 @@ mod tests {
             Event {
                 ts_rel_us: 1,
                 span: "a".to_string(),
-                kind: "counter",
+                kind: "event",
                 fields: vec![("name", FieldValue::Str("x".into()))],
             },
         ];

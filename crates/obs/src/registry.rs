@@ -2,10 +2,13 @@
 //! monotonic counters, gauges, and fixed-boundary log-scale histograms —
 //! with deterministic snapshots.
 //!
-//! The trace layer ([`crate::emit`]) streams raw events out of the
-//! process; this module *aggregates* in-process so the serving tier can
-//! answer "what is p99 detect latency right now?" without replaying a
-//! JSONL file. Design constraints, in order:
+//! The trace ([`crate::obs_event!`], [`crate::obs_span!`]) streams what
+//! happened, in order, out of the process; a registry *aggregates*
+//! in-process so the serving tier can answer "what is p99 detect latency
+//! right now?" without replaying a JSONL file. Each `etsb serve` service
+//! owns its registry and exports it through `GET /metrics`; there is no
+//! process-wide registry, so one service's scrape never depends on work
+//! done elsewhere in the process. Design constraints, in order:
 //!
 //! * **Lock-cheap recording.** Instruments are plain atomics; recording
 //!   a value is a handful of relaxed `fetch_add`s with no lock. The
@@ -18,13 +21,10 @@
 //!   Prometheus renderings (`crate::expo`).
 //! * **Results stay untouched.** Like tracing, metrics never feed back
 //!   into computation: no RNG, no floats flowing into model math.
-//!   Whether the registry is enabled ([`metrics_enabled`], `ETSB_METRICS`)
-//!   must never change a bit of model output; `tests/determinism.rs`
-//!   asserts this.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Default latency bucket upper bounds in nanoseconds: a 1-2-5
 /// log-scale ladder from 1µs to 50s. Values above the last bound land
@@ -61,60 +61,6 @@ pub const LATENCY_BOUNDS_NS: [u64; 24] = [
 pub const COUNT_BOUNDS: [u64; 17] = [
     1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536,
 ];
-
-/// Whether global-registry instrumentation points are live. Mirrors the
-/// tracing flag: a single relaxed load when off.
-static METRICS_ON: AtomicBool = AtomicBool::new(false);
-
-/// The process-wide registry (see [`global`]).
-static GLOBAL: OnceLock<Registry> = OnceLock::new();
-
-/// Whether instrumentation points that record into the [`global`]
-/// registry should do so. One relaxed atomic load — the entire cost of
-/// an instrumentation point when metrics are off.
-#[inline(always)]
-pub fn metrics_enabled() -> bool {
-    METRICS_ON.load(Ordering::Relaxed)
-}
-
-/// Enable or disable global-registry instrumentation points.
-/// Already-recorded values are retained either way.
-pub fn set_metrics_enabled(on: bool) {
-    METRICS_ON.store(on, Ordering::SeqCst);
-}
-
-/// Configure the metrics flag from `ETSB_METRICS`: unset, empty, `off`
-/// or `0` disables; `on` or `1` enables. Returns the active mode, or an
-/// error for an unrecognized value.
-pub fn init_from_env() -> Result<&'static str, String> {
-    match std::env::var("ETSB_METRICS") {
-        Err(_) => {
-            set_metrics_enabled(false);
-            Ok("off")
-        }
-        Ok(raw) => match raw.trim() {
-            "" | "off" | "0" => {
-                set_metrics_enabled(false);
-                Ok("off")
-            }
-            "on" | "1" => {
-                set_metrics_enabled(true);
-                Ok("on")
-            }
-            other => Err(format!(
-                "ETSB_METRICS: unrecognized value {other:?} (expected off|on)"
-            )),
-        },
-    }
-}
-
-/// The process-wide registry. Library instrumentation points (shard and
-/// epoch timings) record here while [`metrics_enabled`]; nothing exports
-/// it yet — `etsb serve`'s `GET /metrics` renders only each service's own
-/// registry.
-pub fn global() -> &'static Registry {
-    GLOBAL.get_or_init(Registry::new)
-}
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -554,12 +500,5 @@ mod tests {
         let g = r.gauge("x"); // wrong kind: detached, no panic
         g.set(9.0);
         assert_eq!(r.snapshot().counter("x"), Some(1));
-    }
-
-    #[test]
-    fn env_init_parses_documented_values() {
-        // Exercise the pure parsing arms without mutating the global
-        // flag state observed by other tests: only the error arm.
-        assert!(init_from_env().is_ok() || std::env::var("ETSB_METRICS").is_ok());
     }
 }

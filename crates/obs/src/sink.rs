@@ -166,7 +166,7 @@ mod tests {
         Event {
             ts_rel_us: n,
             span: String::new(),
-            kind: "counter",
+            kind: "event",
             fields: vec![
                 ("name", FieldValue::from("x")),
                 ("value", FieldValue::from(n)),

@@ -14,10 +14,10 @@ fn jsonl_sink_round_trips_the_event_schema() {
 
     {
         let _outer = obs_span!("outer", "items" => 5usize, "label" => "a \"quoted\" name");
-        etsb_obs::counter("ticks", 3);
+        obs_event!("ticks", "value" => 3u64);
         {
             let _inner = obs_span!("inner");
-            etsb_obs::gauge("loss", 0.25);
+            obs_event!("loss", "value" => 0.25);
         }
         obs_event!("checkpoint", "epoch" => 2usize, "loss" => 0.5f64);
     }
@@ -26,10 +26,10 @@ fn jsonl_sink_round_trips_the_event_schema() {
     let text = std::fs::read_to_string(path).expect("trace file readable");
     std::fs::remove_file(path).ok();
     let lines: Vec<&str> = text.lines().collect();
-    // span_start/end x2, counter, gauge, event.
+    // span_start/end x2, three events.
     assert_eq!(lines.len(), 7, "unexpected trace: {text}");
 
-    let kinds = ["span_start", "span_end", "counter", "gauge", "event"];
+    let kinds = ["span_start", "span_end", "event"];
     let mut last_ts = 0.0;
     for line in &lines {
         let parsed = json::parse(line).expect("every trace line is valid JSON");
@@ -52,7 +52,7 @@ fn jsonl_sink_round_trips_the_event_schema() {
         }
     }
 
-    // Nesting is visible in the span paths: the inner gauge is attributed
+    // Nesting is visible in the span paths: the inner event is attributed
     // to `outer.inner`, the trailing event back to `outer`.
     let span_of = |i: usize| {
         json::parse(lines[i])

@@ -14,9 +14,13 @@
 //!   format) in the body; the response body is the matching response
 //!   object. Statuses map to `200` (ok), `400` (bad_request), `503`
 //!   (overloaded, shutting_down) and `504` (timeout).
+//!
+//! A request head whose request line or any header line passes 8 KiB,
+//! or that carries more than 100 headers, is read to its end without
+//! being kept and answered `431`.
 
 use crate::engine::DetectService;
-use crate::protocol::{parse_request, Response, Status, MAX_REQUEST_BYTES};
+use crate::protocol::{next_line, parse_request, Line, Response, Status, MAX_REQUEST_BYTES};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -111,6 +115,64 @@ fn declared_content_length<'a>(
     Ok(declared.unwrap_or(0))
 }
 
+/// Longest request line or header line kept, in bytes.
+const MAX_HEAD_LINE_BYTES: usize = 8 << 10;
+
+/// Most header lines one request may carry.
+const MAX_HEADERS: usize = 100;
+
+/// A request head, as read by [`read_head`].
+enum Head {
+    /// The peer closed the connection without sending a byte.
+    Empty,
+    /// The request line and the header lines, without line ends.
+    Read {
+        request_line: String,
+        headers: Vec<String>,
+    },
+    /// A line passed [`MAX_HEAD_LINE_BYTES`] or the headers passed
+    /// [`MAX_HEADERS`]; the rest of the head was read and dropped.
+    TooLarge,
+}
+
+/// Read a request head through its blank line (or the end of input),
+/// each line through the bounded [`next_line`].
+fn read_head<R: BufRead>(reader: &mut R) -> std::io::Result<Head> {
+    let text = |line: &[u8]| String::from_utf8_lossy(line.trim_ascii_end()).into_owned();
+    let mut line = Vec::new();
+    let request_line = match next_line(reader, &mut line, MAX_HEAD_LINE_BYTES)? {
+        Line::End => return Ok(Head::Empty),
+        Line::Read => text(&line),
+        Line::TooLong => return skip_head(reader, &mut line),
+    };
+    let mut headers = Vec::new();
+    loop {
+        match next_line(reader, &mut line, MAX_HEAD_LINE_BYTES)? {
+            Line::End => break,
+            Line::Read if line.trim_ascii_end().is_empty() => break,
+            Line::Read if headers.len() < MAX_HEADERS => headers.push(text(&line)),
+            Line::Read | Line::TooLong => return skip_head(reader, &mut line),
+        }
+    }
+    Ok(Head::Read {
+        request_line,
+        headers,
+    })
+}
+
+/// Read the rest of an over-large head without keeping it, so a client
+/// still sending is not reset before it reads the `431`.
+fn skip_head<R: BufRead>(reader: &mut R, line: &mut Vec<u8>) -> std::io::Result<Head> {
+    loop {
+        match next_line(reader, line, MAX_HEAD_LINE_BYTES)? {
+            Line::End => break,
+            Line::Read if line.trim_ascii_end().is_empty() => break,
+            Line::Read | Line::TooLong => {}
+        }
+    }
+    Ok(Head::TooLarge)
+}
+
 fn handle_connection(service: &DetectService, stream: TcpStream) -> std::io::Result<()> {
     // The accepted socket may inherit the listener's non-blocking mode.
     stream.set_nonblocking(false)?;
@@ -118,26 +180,25 @@ fn handle_connection(service: &DetectService, stream: TcpStream) -> std::io::Res
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut stream = stream;
 
-    let mut request_line = String::new();
-    if reader.read_line(&mut request_line)? == 0 {
-        return Ok(()); // Peer connected and said nothing.
-    }
-    let mut parts = request_line.trim_end().splitn(3, ' ');
+    let (request_line, headers) = match read_head(&mut reader)? {
+        Head::Empty => return Ok(()), // Peer connected and said nothing.
+        Head::Read {
+            request_line,
+            headers,
+        } => (request_line, headers),
+        Head::TooLarge => {
+            return write_response(
+                &mut stream,
+                431,
+                "Request Header Fields Too Large",
+                JSON_CONTENT_TYPE,
+                "{\"error\":\"request head too large\"}",
+            );
+        }
+    };
+    let mut parts = request_line.splitn(3, ' ');
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("");
-
-    let mut headers = Vec::new();
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            break;
-        }
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        headers.push(header.to_string());
-    }
     let content_length = match declared_content_length(headers.iter().map(String::as_str)) {
         Ok(length) => length,
         Err(e) => {

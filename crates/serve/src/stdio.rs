@@ -9,8 +9,8 @@
 //! test compare coalesced and non-coalesced runs byte for byte.
 
 use crate::engine::{DetectService, ResponseHandle};
-use crate::protocol::{parse_request, Response, Status, MAX_REQUEST_BYTES};
-use std::io::{BufRead, ErrorKind, Write};
+use crate::protocol::{next_line, parse_request, Line, Response, Status, MAX_REQUEST_BYTES};
+use std::io::{BufRead, Write};
 use std::sync::mpsc;
 
 enum Item {
@@ -19,54 +19,6 @@ enum Item {
     Immediate(Response),
     /// In flight; the writer blocks on it in submission order.
     Handle(ResponseHandle),
-}
-
-/// One input line, as read by [`next_line`].
-enum Line {
-    /// End of input before any byte of a new line.
-    End,
-    /// A whole line (without its `\n`) is in the buffer.
-    Read,
-    /// The line exceeded the limit; it was consumed through its newline
-    /// but not kept.
-    TooLong,
-}
-
-/// Read the next line of `input` into `line` (cleared first, newline
-/// dropped), keeping at most `limit` bytes: a longer line is skipped
-/// through its newline (or the end of input) without being buffered.
-fn next_line<R: BufRead>(input: &mut R, line: &mut Vec<u8>, limit: usize) -> std::io::Result<Line> {
-    line.clear();
-    let (mut started, mut too_long) = (false, false);
-    loop {
-        let buf = match input.fill_buf() {
-            Ok(buf) => buf,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        if buf.is_empty() {
-            return Ok(match (started, too_long) {
-                (false, _) => Line::End,
-                (true, false) => Line::Read,
-                (true, true) => Line::TooLong,
-            });
-        }
-        started = true;
-        let newline = buf.iter().position(|&b| b == b'\n');
-        let content = &buf[..newline.unwrap_or(buf.len())];
-        if !too_long && line.len() + content.len() > limit {
-            too_long = true;
-            line.clear();
-        }
-        if !too_long {
-            line.extend_from_slice(content);
-        }
-        let used = newline.map_or(buf.len(), |at| at + 1);
-        input.consume(used);
-        if newline.is_some() {
-            return Ok(if too_long { Line::TooLong } else { Line::Read });
-        }
-    }
 }
 
 /// Pump requests from `input` through `service` and write one response
@@ -133,48 +85,4 @@ pub fn run<R: BufRead, W: Write + Send>(
             None => wrote,
         }
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::io::BufReader;
-
-    /// Each line's outcome and kept bytes, read through `next_line`
-    /// with a 4-byte limit from a reader that hands out `capacity`
-    /// bytes at a time, so lines straddle its buffer refills.
-    fn read_all(input: &[u8], capacity: usize) -> Vec<(&'static str, Vec<u8>)> {
-        let mut reader = BufReader::with_capacity(capacity, input);
-        let mut line = Vec::new();
-        let mut out = Vec::new();
-        loop {
-            let kind = match next_line(&mut reader, &mut line, 4).unwrap() {
-                Line::End => return out,
-                Line::Read => "read",
-                Line::TooLong => "too long",
-            };
-            out.push((kind, line.clone()));
-        }
-    }
-
-    #[test]
-    fn lines_up_to_the_limit_are_kept_and_longer_ones_skipped() {
-        let input = b"abcd\nabcde\n\r\n\nxyz12345\nend";
-        for capacity in 1..=7 {
-            assert_eq!(
-                read_all(input, capacity),
-                [
-                    ("read", b"abcd".to_vec()),
-                    ("too long", Vec::new()),
-                    ("read", b"\r".to_vec()),
-                    ("read", Vec::new()),
-                    ("too long", Vec::new()),
-                    ("read", b"end".to_vec()),
-                ],
-                "reader capacity {capacity}"
-            );
-        }
-        assert!(read_all(b"", 3).is_empty());
-        assert_eq!(read_all(b"abcdef", 3), [("too long", Vec::new())]);
-    }
 }

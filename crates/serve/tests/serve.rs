@@ -518,6 +518,28 @@ fn http_front_end_round_trips() {
         let missing = fetch("GET /nowhere HTTP/1.1\r\nHost: x\r\n\r\n".to_string());
         assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
 
+        // A head line over 8 KiB or more than 100 headers is read to its
+        // end and answered 431; the server keeps serving afterwards.
+        let long_line = fetch(format!(
+            "GET /healthz HTTP/1.1\r\nHost: x\r\nX-Long: {}\r\n\r\n",
+            "a".repeat(64 << 10)
+        ));
+        assert!(long_line.starts_with("HTTP/1.1 431"), "{long_line}");
+        assert!(
+            long_line.contains("{\"error\":\"request head too large\"}"),
+            "{long_line}"
+        );
+        let with_headers = |n: usize| {
+            let headers: String = (0..n).map(|i| format!("X-H{i}: v\r\n")).collect();
+            fetch(format!("GET /healthz HTTP/1.1\r\n{headers}\r\n"))
+        };
+        let at_limit = with_headers(100);
+        assert!(at_limit.starts_with("HTTP/1.1 200"), "{at_limit}");
+        let over_limit = with_headers(101);
+        assert!(over_limit.starts_with("HTTP/1.1 431"), "{over_limit}");
+        let after = fetch("GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n".to_string());
+        assert!(after.starts_with("HTTP/1.1 200"), "{after}");
+
         drop(stop_server);
         server.join().unwrap().unwrap();
     });

@@ -333,8 +333,8 @@ impl ChunkedFrame {
     }
 
     /// Resident heap footprint of the chunk buffer in bytes (cell structs
-    /// plus their string capacities) — the peak-memory proxy reported by
-    /// the streaming gauges.
+    /// plus their string capacities) — the peak-memory proxy that
+    /// `stream_predict` reports as `StreamOutcome::peak_chunk_bytes`.
     pub fn resident_bytes(&self) -> usize {
         let strings: usize = self
             .cells

@@ -19,8 +19,9 @@
 //!   mul-then-add (and `fma` is not enabled), so the two backends agree
 //!   bit for bit. The exact tanh is [`tanh_exact`](crate::simd::tanh_exact), an in-repo port of
 //!   fdlibm's `tanhf` (scalar on `Portable`, branch-free 8-lane on
-//!   `Avx2`), bitwise equal to glibc's `f32::tanh` — Exact bits are a
-//!   property of the repo, not of the host libm.
+//!   `Avx2`), bitwise equal to glibc's `f32::tanh`, so Exact `tanh` does
+//!   not depend on the host libm. (The gate sigmoid, the softmax and the
+//!   loss in the layers above still call the host's `expf`/`logf`.)
 //! * [`KernelPolicy::FastMath`] routes the hot products through fused
 //!   multiply-add kernels — a portable scalar [`f32::mul_add`] fallback
 //!   and an x86-64 AVX2+FMA implementation selected by runtime CPU
@@ -83,6 +84,16 @@ impl KernelPolicy {
         match self {
             KernelPolicy::Exact => "exact",
             KernelPolicy::FastMath => "fast-math",
+        }
+    }
+
+    /// Elementwise tanh in place under this policy: [`tanh_exact`] or
+    /// [`tanh_fast`].
+    #[inline]
+    pub fn tanh(self, xs: &mut [f32]) {
+        match self {
+            KernelPolicy::Exact => tanh_exact(xs),
+            KernelPolicy::FastMath => tanh_fast(xs),
         }
     }
 }

@@ -125,8 +125,8 @@ pub(super) const EXPM1_Q: [f32; 5] = [
 /// glibc ships), bitwise equal to that libm's `f32::tanh` on every
 /// input. Every step is a single correctly rounded IEEE-754 operation
 /// or integer bit manipulation — no fused multiply-add, no libm call —
-/// so the AVX2 lane kernel reproduces it bit for bit, and Exact outputs
-/// no longer depend on the host's libm.
+/// so the AVX2 lane kernel reproduces it bit for bit, and Exact `tanh`
+/// no longer depends on the host's libm.
 pub(super) fn tanh_exact_one(x: f32) -> f32 {
     let ix = x.to_bits() & 0x7fff_ffff;
     let negative = x.is_sign_negative();

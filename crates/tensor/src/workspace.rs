@@ -78,8 +78,8 @@ impl Workspace {
 
     /// Heap bytes reserved by every pooled buffer (capacity, not length).
     /// This is the retained footprint a warmed workspace keeps alive
-    /// between operations; the trainer exports it as the
-    /// `workspace_bytes` gauge, and the leak-regression tests pin that it
+    /// between operations; the trainer traces it as the
+    /// `workspace_bytes` event, and the leak-regression tests pin that it
     /// stops growing once the pools are warm.
     pub fn pooled_bytes(&self) -> usize {
         let vec_bytes: usize = self

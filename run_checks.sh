@@ -50,7 +50,9 @@
 #                                         worker count is forced
 #  10. tiny hospital pipeline           -- detect with ETSB_TRACE=jsonl:...
 #                                         and --manifest, gated by
-#                                         trace_lint; then detect --out
+#                                         trace_lint and by a count of
+#                                         its train_loss events (one per
+#                                         epoch); then detect --out
 #                                         in memory and with
 #                                         --chunk-rows 7, and cmp the two
 #                                         flagged-cell files (streaming
@@ -131,6 +133,11 @@ if [[ "${1:-}" != "fast" ]]; then
         --save "$tmpdir/detector.bin"
     cargo run -q -p etsb-obs --bin trace_lint -- \
         --trace "$tmpdir/trace.jsonl" --manifest "$tmpdir/manifest.json"
+    train_losses="$(grep -c '"name":"train_loss"' "$tmpdir/trace.jsonl" || true)"
+    if [[ "$train_losses" != 3 ]]; then
+        echo "trace of the --epochs 3 run holds $train_losses train_loss events, not 3" >&2
+        exit 1
+    fi
     cargo run -q -p etsb-obs --bin trace_profile -- \
         --trace "$tmpdir/trace.jsonl" --top 15
     cargo run -q -p etsb-cli -- detect \
