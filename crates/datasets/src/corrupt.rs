@@ -86,6 +86,13 @@ impl<'a> Injector<'a> {
     /// Returns the per-kind counts actually applied (a kind can fall
     /// short only if the table runs out of eligible cells — generators
     /// size their domains so this does not happen, and tests assert it).
+    ///
+    /// Costs O(cells · log cells): the cells a kind skips go back into
+    /// the untouched list in one pass, with the draws and the result of
+    /// inserting them one by one.
+    ///
+    /// # Panics
+    /// If the table has more than `u32::MAX` cells.
     pub fn run(
         mut self,
         dirty: &mut Table,
@@ -93,32 +100,34 @@ impl<'a> Injector<'a> {
     ) -> Vec<(ErrorKind, usize)> {
         let _span = etsb_obs::span("corrupt");
         let (n_rows, n_cols) = dirty.shape();
-        let mut untouched: Vec<(usize, usize)> = (0..n_rows)
-            .flat_map(|r| (0..n_cols).map(move |c| (r, c)))
-            .collect();
+        let n_cells = n_rows * n_cols;
+        assert!(
+            n_cells <= u32::MAX as usize,
+            "Injector: {n_cells} cells overflow the u32 cell index"
+        );
+        // Flat cell indices `row * n_cols + col`, in row-major order.
+        let mut untouched: Vec<u32> = (0..n_cells as u32).collect();
         untouched.shuffle(self.rng);
 
         let mut applied = Vec::with_capacity(self.plan.len());
         for (kind, want) in std::mem::take(&mut self.plan) {
             let mut done = 0usize;
-            let mut skipped: Vec<(usize, usize)> = Vec::new();
+            let mut skipped: Vec<u32> = Vec::new();
             while done < want {
-                let Some((r, c)) = untouched.pop() else { break };
+                let Some(cell) = untouched.pop() else { break };
+                let (r, c) = (cell as usize / n_cols, cell as usize % n_cols);
                 let old = dirty.cell(r, c).to_string();
                 match corrupt(kind, r, c, &old, self.rng) {
                     Some(new) if new != old => {
                         dirty.set_cell(r, c, new);
                         done += 1;
                     }
-                    _ => skipped.push((r, c)),
+                    _ => skipped.push(cell),
                 }
             }
             // Cells this kind could not corrupt stay available for the
-            // next kinds; reinsert at random positions.
-            for cell in skipped {
-                let at = self.rng.gen_range(0..=untouched.len());
-                untouched.insert(at, cell);
-            }
+            // next kinds, each at a uniformly random position.
+            insert_all_at_random(&mut untouched, &skipped, |len| self.rng.gen_range(0..=len));
             applied.push((kind, done));
         }
         if etsb_obs::enabled() {
@@ -131,6 +140,82 @@ impl<'a> Injector<'a> {
             }
         }
         applied
+    }
+}
+
+/// Insert `cells` into `list` as the loop
+/// `for &x in cells { let at = draw(list.len()); list.insert(at, x) }`
+/// would, where `draw(len)` returns a position in `0..=len`: the same
+/// draws in the same order, the same final list, but O(list + cells ·
+/// log) work instead of O(list · cells) element shifts.
+///
+/// Every draw is taken first; the i-th is `draw(len + i)`. Then the
+/// cells are placed latest-first: no insert after cell i moves it
+/// relative to the cells present when it went in, so it lands on the
+/// `at`-th slot of the final list among those no later cell took. The
+/// old list fills the remaining slots in its order.
+fn insert_all_at_random(list: &mut Vec<u32>, cells: &[u32], mut draw: impl FnMut(usize) -> usize) {
+    if cells.is_empty() {
+        return;
+    }
+    let len = list.len();
+    let mut slots: Vec<u32> = (0..cells.len()).map(|i| draw(len + i) as u32).collect();
+    let total = len + cells.len();
+    let mut free = FreeSlots::all_free(total);
+    for at in slots.iter_mut().rev() {
+        *at = free.take(*at);
+    }
+    // Before `out` is allocated, so only one O(total) buffer sits beside
+    // the list at a time.
+    drop(free);
+    // `u32::MAX` is no cell: `run` asserts every index is below it.
+    const OPEN: u32 = u32::MAX;
+    let mut out = vec![OPEN; total];
+    for (&slot, &cell) in slots.iter().zip(cells) {
+        out[slot as usize] = cell;
+    }
+    for (slot, &cell) in out.iter_mut().filter(|s| **s == OPEN).zip(list.iter()) {
+        *slot = cell;
+    }
+    *list = out;
+}
+
+/// A Fenwick tree of free-slot counts over the slots of a list.
+struct FreeSlots {
+    /// 1-based: `tree[i]` counts the free slots among `(i - lowbit(i), i]`;
+    /// `tree[0]` is unused.
+    tree: Vec<u32>,
+}
+
+impl FreeSlots {
+    /// `n` slots, all free, so each node counts its whole range.
+    fn all_free(n: usize) -> Self {
+        Self {
+            tree: (0..=n).map(|i| (i & i.wrapping_neg()) as u32).collect(),
+        }
+    }
+
+    /// Take the `rank`-th free slot (0-based) and return its index. A
+    /// descending search: `pos` grows by the largest steps that leave at
+    /// most `rank` free slots among the first `pos`, so it stops on the
+    /// wanted slot.
+    fn take(&mut self, rank: u32) -> u32 {
+        let n = self.tree.len() - 1;
+        let (mut pos, mut rest) = (0, rank);
+        let mut step = (n + 1).next_power_of_two() >> 1;
+        while step > 0 {
+            if pos + step <= n && self.tree[pos + step] <= rest {
+                pos += step;
+                rest -= self.tree[pos];
+            }
+            step >>= 1;
+        }
+        let mut i = pos + 1;
+        while i <= n {
+            self.tree[i] -= 1;
+            i += i & i.wrapping_neg();
+        }
+        pos as u32
     }
 }
 
@@ -295,6 +380,83 @@ mod tests {
             }
         }
         assert_eq!(diff, 50);
+    }
+
+    /// The loop `insert_all_at_random` replaces: its oracle.
+    fn insert_one_by_one(list: &mut Vec<u32>, cells: &[u32], mut draw: impl FnMut(usize) -> usize) {
+        for &x in cells {
+            let at = draw(list.len());
+            list.insert(at, x);
+        }
+    }
+
+    /// Same list and same generator state as the one-by-one loop, over
+    /// lists of 0–300 cells and 0–100 inserted cells.
+    #[test]
+    fn insert_all_at_random_matches_one_by_one_inserts() {
+        use rand::RngCore;
+        let mut sizes = seeded(6);
+        for trial in 0..400 {
+            let len = sizes.gen_range(0..=300u32);
+            let k = sizes.gen_range(0..=100u32);
+            let cells: Vec<u32> = (1000..1000 + k).collect();
+            let (mut fast, mut slow): (Vec<u32>, Vec<u32>) =
+                ((0..len).collect(), (0..len).collect());
+            let (mut rng_fast, mut rng_slow) = (seeded(trial), seeded(trial));
+            insert_all_at_random(&mut fast, &cells, |n| rng_fast.gen_range(0..=n));
+            insert_one_by_one(&mut slow, &cells, |n| rng_slow.gen_range(0..=n));
+            assert_eq!(fast, slow, "{len} listed, {k} inserted, seed {trial}");
+            assert_eq!(
+                rng_fast.next_u64(),
+                rng_slow.next_u64(),
+                "{len} listed, {k} inserted, seed {trial}: draws differ"
+            );
+        }
+    }
+
+    #[test]
+    fn insert_all_at_random_edge_cases() {
+        // No cells to insert: no draw is taken and the list stays.
+        let mut draws = 0;
+        let mut list = vec![3, 1, 2];
+        insert_all_at_random(&mut list, &[], |n| {
+            draws += 1;
+            n
+        });
+        assert_eq!((draws, list), (0, vec![3, 1, 2]));
+
+        // An empty list: the cells alone, in the loop's order.
+        for seed in 0..20 {
+            let cells: Vec<u32> = (0..=seed as u32).collect();
+            let (mut fast, mut slow) = (Vec::new(), Vec::new());
+            let (mut rng_fast, mut rng_slow) = (seeded(seed), seeded(seed));
+            insert_all_at_random(&mut fast, &cells, |n| rng_fast.gen_range(0..=n));
+            insert_one_by_one(&mut slow, &cells, |n| rng_slow.gen_range(0..=n));
+            assert_eq!(fast, slow, "empty list, seed {seed}");
+        }
+
+        // Draws pinned to 0 put every cell first (latest in front), draws
+        // pinned to `len` append them in order.
+        for (len, k) in [(0, 1), (1, 1), (5, 3), (3, 5), (300, 100)] {
+            let list: Vec<u32> = (0..len).collect();
+            let cells: Vec<u32> = (1000..1000 + k).collect();
+            let (mut fast, mut slow) = (list.clone(), list.clone());
+            insert_all_at_random(&mut fast, &cells, |_| 0);
+            insert_one_by_one(&mut slow, &cells, |_| 0);
+            assert_eq!(fast, slow, "{len} listed, {k} inserted, draws pinned to 0");
+            let front: Vec<u32> = cells.iter().rev().chain(&list).copied().collect();
+            assert_eq!(fast, front);
+
+            let (mut fast, mut slow) = (list.clone(), list.clone());
+            insert_all_at_random(&mut fast, &cells, |n| n);
+            insert_one_by_one(&mut slow, &cells, |n| n);
+            assert_eq!(
+                fast, slow,
+                "{len} listed, {k} inserted, draws pinned to len"
+            );
+            let back: Vec<u32> = list.iter().chain(&cells).copied().collect();
+            assert_eq!(fast, back);
+        }
     }
 
     #[test]

@@ -214,31 +214,29 @@ pub fn set_sink(sink: Option<Box<dyn Sink>>) {
 /// Returns a description of the active mode, or an error for an
 /// unrecognized value / unwritable trace path.
 pub fn init_from_env() -> Result<&'static str, String> {
-    match std::env::var("ETSB_TRACE") {
-        Err(_) => {
-            set_sink(None);
-            Ok("off")
-        }
-        Ok(raw) => match raw.trim() {
-            "" | "off" => {
-                set_sink(None);
-                Ok("off")
+    let raw = std::env::var("ETSB_TRACE").unwrap_or_default();
+    let (sink, mode) = sink_for(&raw)?;
+    set_sink(sink);
+    Ok(mode)
+}
+
+/// The sink to install (`None` for off) and the mode name to report.
+type TraceMode = (Option<Box<dyn Sink>>, &'static str);
+
+/// Parse an `ETSB_TRACE` value as documented on [`init_from_env`].
+fn sink_for(raw: &str) -> Result<TraceMode, String> {
+    match raw.trim() {
+        "" | "off" => Ok((None, "off")),
+        "stderr" => Ok((Some(Box::new(StderrSink)), "stderr")),
+        other => match other.strip_prefix("jsonl:") {
+            Some(path) if !path.is_empty() => {
+                let sink = JsonlSink::create(path)
+                    .map_err(|e| format!("ETSB_TRACE: cannot create {path}: {e}"))?;
+                Ok((Some(Box::new(sink)), "jsonl"))
             }
-            "stderr" => {
-                set_sink(Some(Box::new(StderrSink)));
-                Ok("stderr")
-            }
-            other => match other.strip_prefix("jsonl:") {
-                Some(path) if !path.is_empty() => {
-                    let sink = JsonlSink::create(path)
-                        .map_err(|e| format!("ETSB_TRACE: cannot create {path}: {e}"))?;
-                    set_sink(Some(Box::new(sink)));
-                    Ok("jsonl")
-                }
-                _ => Err(format!(
-                    "ETSB_TRACE: unrecognized value {other:?} (expected off|stderr|jsonl:<path>)"
-                )),
-            },
+            _ => Err(format!(
+                "ETSB_TRACE: unrecognized value {other:?} (expected off|stderr|jsonl:<path>)"
+            )),
         },
     }
 }
@@ -504,10 +502,34 @@ mod tests {
         set_sink(None);
     }
 
+    /// Every arm of the `ETSB_TRACE` parser, without touching the process
+    /// environment or the global sink.
     #[test]
-    fn init_from_env_rejects_garbage() {
-        // Uses the documented error path without mutating the
-        // environment: an unrecognized value string.
-        assert!(init_from_env().is_ok() || std::env::var("ETSB_TRACE").is_ok());
+    fn trace_values_select_their_sink_or_fail() {
+        let dir = std::env::temp_dir().join(format!("etsb_obs_sink_for_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        let mode = |raw: &str| sink_for(raw).map(|(sink, mode)| (sink.is_some(), mode));
+        let error = |raw: &str| sink_for(raw).err().unwrap_or_default();
+
+        assert_eq!(mode(""), Ok((false, "off")));
+        assert_eq!(mode("off"), Ok((false, "off")));
+        assert_eq!(mode(" stderr "), Ok((true, "stderr")));
+        let trace = dir.join("t.jsonl");
+        assert_eq!(
+            mode(&format!("jsonl:{}", trace.display())),
+            Ok((true, "jsonl"))
+        );
+        assert!(trace.exists(), "jsonl: creates its file");
+
+        for raw in ["verbose", "jsonl:"] {
+            let e = error(raw);
+            assert!(e.contains("unrecognized value"), "{raw:?}: {e}");
+        }
+        let e = error(&format!(
+            "jsonl:{}",
+            dir.join("missing").join("t.jsonl").display()
+        ));
+        assert!(e.contains("cannot create"), "{e}");
+        std::fs::remove_dir_all(&dir).expect("remove temp dir");
     }
 }

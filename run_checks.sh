@@ -48,7 +48,12 @@
 #   9. determinism under ETSB_WORKERS=2 -- sharded backward must stay
 #                                         bitwise-identical when the
 #                                         worker count is forced
-#  10. tiny hospital pipeline           -- detect with ETSB_TRACE=jsonl:...
+#  10. paper-size generation and       -- a release `etsb generate` of the
+#      tiny hospital pipeline             200,000-row Tax must finish within
+#                                         60 s (built first, outside the
+#                                         limit; quadratic error injection
+#                                         would need minutes); then
+#                                         detect with ETSB_TRACE=jsonl:...
 #                                         and --manifest, gated by
 #                                         trace_lint and by a count of
 #                                         its train_loss events (one per
@@ -123,6 +128,20 @@ if [[ "${1:-}" != "fast" ]]; then
 
     step "determinism with 2 forced workers"
     ETSB_WORKERS=2 cargo test -q -p etsb-core --test determinism
+
+    step "paper-size Tax generation within 60 s"
+    cargo build --release -q -p etsb-cli
+    if ! timeout 60 target/release/etsb generate --dataset tax --scale 1.0 --seed 7 \
+        --dirty "$tmpdir/tax_dirty.csv" --clean "$tmpdir/tax_clean.csv" \
+        > "$tmpdir/tax_generate.txt"; then
+        echo "etsb generate --dataset tax --scale 1.0 failed or ran past 60 s" >&2
+        exit 1
+    fi
+    if ! grep -q '^generated Tax: 200000 rows x 15 cols ' "$tmpdir/tax_generate.txt"; then
+        echo "etsb generate --dataset tax --scale 1.0 printed: $(cat "$tmpdir/tax_generate.txt")" >&2
+        exit 1
+    fi
+    rm "$tmpdir/tax_dirty.csv" "$tmpdir/tax_clean.csv"
 
     step "tiny hospital pipeline (trace + manifest schema, streamed --out bytes)"
     cargo run -q -p etsb-cli -- generate --dataset hospital --scale 0.03 --seed 7 \
